@@ -23,11 +23,16 @@ import numpy as np
 
 from . import mub as _mub
 from . import qubit as _qubit
-from .numerics import check_state_vector, fix_global_phase, hermitian_eig, hermiticity_deviation
+from .numerics import (
+    DEGENERACY_TOL,
+    check_state_vector,
+    fix_global_phase,
+    hermitian_eig,
+    hermiticity_deviation,
+)
 
 WEIGHT_SUM_TOL = 1e-9
 IDEMPOTENCY_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
 
 #: Hard cap on grid-search size, about a minute of vectorized evaluation.
 MAX_GRID_POINTS = 500_000_000
@@ -60,11 +65,15 @@ def measurement_ensemble(terms, tol: float = IDEMPOTENCY_TOL) -> MeasurementEnse
     dim = None
     for label, weight, proj in terms:
         weight = float(weight)
+        if not np.isfinite(weight):
+            raise ValueError(f"non-finite weight {weight} for term {label!r}")
         if weight < 0.0:
             raise ValueError(f"negative weight {weight} for term {label!r}")
         p = np.asarray(proj, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"projector for term {label!r} is not square: {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"projector for term {label!r} contains NaN or Inf entries")
         if dim is None:
             dim = p.shape[0]
         elif p.shape[0] != dim:

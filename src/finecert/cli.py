@@ -315,13 +315,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
+        text = result if isinstance(result, str) else render_json(result)
     except ValueError as exc:
         print(f"finecert {args.command}: {exc}", file=sys.stderr)
         return INVALID_PARAMETER
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(render_json(result))
+    print(text)
     return 0
 
 

@@ -25,6 +25,9 @@ s_j < 1 - bound fall outside that monotone-comparison window and are reported
 rather than asserted. An explicitly labeled counterfactual mode substitutes a
 hypothetical bound value for every s_j to show that a higher achievable bound
 would make delta_w positive.
+
+A single cycle and a scan over random membrane bases run through the same
+batched kernel; a scan streams its samples through it in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import mub as _mub
 from . import qubit as _qubit
 from .bounds import mub_pair_bound
-from .numerics import binary_entropy, shannon_entropy, von_neumann_entropy
+from .numerics import PROBABILITY_SUM_TOL, binary_entropy, shannon_entropy, von_neumann_entropy
 
 PRIOR_SUM_TOL = 1e-9
 BASIS_TOL = 1e-10
@@ -147,6 +150,18 @@ class CycleConfig:
     layout: MembraneLayout
 
 
+def _basis_deviations(bases: np.ndarray) -> np.ndarray:
+    """max |B B^dag - I| of each basis in a stack of shape (n, d, d)."""
+    gram = bases @ bases.conj().swapaxes(-1, -2)
+    return np.abs(gram - np.eye(bases.shape[-1])).max(axis=(-2, -1))
+
+
+def _first_failure(ok: np.ndarray):
+    """Index of the first False entry (NaN checks count as False), or None."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
     """Validated cycle configuration; defaults are uniform priors, the
     computational membrane basis, and the singleton-style default layout."""
@@ -156,27 +171,202 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
         raise ValueError(f"need {d} priors, got {priors.shape[0]}")
+    if not np.all(np.isfinite(priors)):
+        raise ValueError("priors contain NaN or Inf entries")
     if float(priors.min()) < 0.0:
         raise ValueError(f"negative prior {float(priors.min()):.3e}")
-    if abs(float(priors.sum()) - 1.0) > PRIOR_SUM_TOL:
+    if not abs(float(priors.sum()) - 1.0) <= PRIOR_SUM_TOL:
         raise ValueError(f"priors sum to {float(priors.sum()):.12f}, not 1")
     basis = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     if basis.shape != (d, d):
         raise ValueError(f"membrane basis must be {d}x{d}, got {basis.shape}")
-    gram_dev = float(np.max(np.abs(basis @ basis.conj().T - np.eye(d))))
-    if gram_dev > BASIS_TOL:
+    if not np.all(np.isfinite(basis)):
+        raise ValueError("membrane basis contains NaN or Inf entries")
+    gram_dev = float(_basis_deviations(basis[None])[0])
+    if not gram_dev <= BASIS_TOL:
         raise ValueError(f"membrane basis not orthonormal: deviation {gram_dev:.3e}")
     layout = MembraneLayout.paper_preset(d) if layout is None else check_layout(layout, d)
     return CycleConfig(d=d, priors=priors, basis=basis, layout=layout)
 
 
-def _outcome_probabilities(cfg: CycleConfig, components) -> np.ndarray:
-    """probs[i, j] = <e_j| rho_i |e_j>, clamped against roundoff below zero."""
-    probs = np.empty((cfg.d, cfg.d))
+# ------------------------------------------------------------ batched kernel
+#
+# Every cycle evaluation, single or scanned, runs through the helpers below on
+# a stack of membrane bases of shape (n, d, d). Work that does not depend on
+# the basis (layout checks, component validation, W2) is done once per stack.
+
+
+@dataclass(frozen=True)
+class _LayoutPlan:
+    """A checked layout as index arrays over the flattened (i, j) grid."""
+
+    chambers: tuple  # ((outcome j, group), ...) in layout order
+    members: np.ndarray  # flat indices i*d + j of every chamber's components, chamber by chamber
+    starts: np.ndarray  # offset of each non-empty chamber in ``members``
+    filled: np.ndarray  # chamber has at least one component
+    singletons: np.ndarray | None
+
+
+def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
+    check_layout(layout, d)
+    chambers = tuple(
+        (j, tuple(int(i) for i in group))
+        for j, outcome_groups in enumerate(layout.groups)
+        for group in outcome_groups
+    )
+    sizes = np.array([len(group) for _, group in chambers])
+    members = np.array([i * d + j for j, group in chambers for i in group], dtype=np.intp)
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    singles = None if layout.singletons is None else np.array([int(s) for s in layout.singletons])
+    return _LayoutPlan(chambers, members, starts, sizes > 0, singles)
+
+
+def _component_stack(components, d: int) -> np.ndarray:
+    if len(components) != d:
+        raise ValueError(f"need {d} component states, got {len(components)}")
+    comps = np.asarray(components, dtype=complex)
+    if comps.shape != (d, d, d):
+        raise ValueError(f"component states must be {d}x{d}, got shape {comps.shape[1:]}")
+    return comps
+
+
+def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """probs[k, i, j] = <e_j| rho_i |e_j> in basis k, clamped against roundoff
+    below zero. One batched product per component keeps memory at O(n d^2)."""
+    probs = np.empty((bases.shape[0], len(components), bases.shape[1]))
+    conj = bases.conj()
     for i, rho in enumerate(components):
-        vals = np.real(np.einsum("ja,ab,jb->j", cfg.basis.conj(), rho, cfg.basis))
-        probs[i] = np.clip(vals, 0.0, 1.0)
-    return probs
+        probs[:, i, :] = np.real(((conj @ rho) * bases).sum(axis=-1))
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _chamber_weights(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
+    """Chamber weights per basis, shape (n, chambers); each sums
+    p_i <e_j|rho_i|e_j> over its group in group order."""
+    weighted = (priors[:, None] * probs).reshape(probs.shape[0], -1)
+    weights = np.zeros((probs.shape[0], len(plan.chambers)))
+    weights[:, plan.filled] = np.add.reduceat(weighted[:, plan.members], plan.starts, axis=1)
+    total = weights.sum(axis=1)
+    bad = _first_failure(np.abs(total - 1.0) <= PRIOR_SUM_TOL)
+    if bad is not None:
+        raise ValueError(f"chamber weights sum to {total[bad]:.12f}, not 1")
+    return weights
+
+
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each distribution along the last axis,
+    with the checks of ``shannon_entropy``."""
+    low = p.min(axis=-1)
+    bad = _first_failure(low >= 0.0)
+    if bad is not None:
+        raise ValueError(f"negative probability {low.flat[bad]:.3e}")
+    total = p.sum(axis=-1)
+    bad = _first_failure(np.abs(total - 1.0) <= PROBABILITY_SUM_TOL)
+    if bad is not None:
+        raise ValueError(f"probabilities sum to {total.flat[bad]:.12f}, not 1")
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def _binary_entropies(s: np.ndarray) -> np.ndarray:
+    """Elementwise H_b(s), with the argument check of ``binary_entropy``."""
+    bad = _first_failure(((s >= 0.0) & (s <= 1.0)).reshape(-1))
+    if bad is not None:
+        raise ValueError(f"binary entropy argument {s.flat[bad]} outside [0, 1]")
+    return _row_entropies(np.stack([s, 1.0 - s], axis=-1))
+
+
+def _w1(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
+    outcome_dist = priors @ probs
+    chamber_weights = _chamber_weights(probs, priors, plan)
+    return shannon_entropy(priors) + _row_entropies(outcome_dist) - _row_entropies(chamber_weights)
+
+
+def _w2(priors: np.ndarray, components) -> float:
+    rho_avg = sum(p * rho for p, rho in zip(priors, components))
+    return von_neumann_entropy(rho_avg) - float(
+        sum(p * von_neumann_entropy(rho) for p, rho in zip(priors, components))
+    )
+
+
+def _singleton_args(probs: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
+    return probs[:, plan.singletons, np.arange(probs.shape[2])]
+
+
+@dataclass(frozen=True)
+class _Cycle:
+    """The basis-independent part of a cycle, validated and computed once."""
+
+    priors: np.ndarray
+    components: np.ndarray
+    plan: _LayoutPlan
+    w2: float
+    zeta: float
+    #: The binary-entropy form applies (uniform priors, designated singletons).
+    hb_applies: bool
+
+
+@dataclass(frozen=True)
+class _CycleBatch:
+    """Per-basis results of the kernel; singleton fields are None when the
+    layout designates no singletons, ``hb_form``/``residual`` when the
+    binary-entropy form does not apply."""
+
+    w1: np.ndarray
+    delta_w: np.ndarray
+    singleton_args: np.ndarray | None
+    in_window: np.ndarray | None
+    #: max_j s_j - zeta per basis; positive values would breach the bound.
+    singleton_excess: np.ndarray | None
+    hb_form: np.ndarray | None
+    residual: np.ndarray | None
+
+
+def _prepare_cycle(d: int, priors: np.ndarray, components, layout: MembraneLayout) -> _Cycle:
+    plan = _layout_plan(layout, d)
+    comps = _component_stack(components, d)
+    uniform = bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL)
+    return _Cycle(
+        priors=priors,
+        components=comps,
+        plan=plan,
+        w2=_w2(priors, comps),
+        zeta=mub_pair_bound(d),
+        hb_applies=uniform and plan.singletons is not None,
+    )
+
+
+def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
+    """Evaluate the cycle on a stack of membrane bases of shape (n, d, d)."""
+    probs = _outcome_probabilities(bases, cycle.components)
+    w1 = _w1(probs, cycle.priors, cycle.plan)
+    delta = w1 - cycle.w2
+    s = in_window = excess = hb_form = residual = None
+    if cycle.plan.singletons is not None:
+        s = _singleton_args(probs, cycle.plan)
+        zeta = cycle.zeta
+        in_window = np.all(s >= 1.0 - zeta, axis=1) & np.all(s <= zeta + WINDOW_SLACK, axis=1)
+        excess = s.max(axis=1) - zeta
+        if cycle.hb_applies:
+            hb_form = binary_entropy(zeta) - _binary_entropies(s).mean(axis=1)
+            residual = np.abs(delta - hb_form)
+    return _CycleBatch(
+        w1=w1,
+        delta_w=delta,
+        singleton_args=s,
+        in_window=in_window,
+        singleton_excess=excess,
+        hb_form=hb_form,
+        residual=residual,
+    )
+
+
+# ------------------------------------------------------------ public entry points
+
+
+def _config_probabilities(cfg: CycleConfig, components) -> tuple:
+    """Layout plan and outcome probabilities (a stack of one) of a configuration."""
+    plan = _layout_plan(cfg.layout, cfg.d)
+    return plan, _outcome_probabilities(cfg.basis[None], _component_stack(components, cfg.d))
 
 
 def chamber_distribution(cfg: CycleConfig, components) -> list:
@@ -185,37 +375,22 @@ def chamber_distribution(cfg: CycleConfig, components) -> list:
     Each weight is sum_{i in group} p_i <e_j|rho_i|e_j>; across all outcomes
     and groups the weights sum to 1.
     """
-    check_layout(cfg.layout, cfg.d)
-    if len(components) != cfg.d:
-        raise ValueError(f"need {cfg.d} component states, got {len(components)}")
-    probs = _outcome_probabilities(cfg, components)
-    chambers = []
-    for j, outcome_groups in enumerate(cfg.layout.groups):
-        for group in outcome_groups:
-            weight = float(sum(cfg.priors[int(i)] * probs[int(i), j] for i in group))
-            chambers.append((j, tuple(int(i) for i in group), weight))
-    total = sum(w for _, _, w in chambers)
-    if abs(total - 1.0) > PRIOR_SUM_TOL:
-        raise ValueError(f"chamber weights sum to {total:.12f}, not 1")
-    return chambers
+    plan, probs = _config_probabilities(cfg, components)
+    weights = _chamber_weights(probs, cfg.priors, plan)[0]
+    return [(j, group, float(w)) for (j, group), w in zip(plan.chambers, weights)]
 
 
 def work_extraction_w1(cfg: CycleConfig, components) -> float:
     """Work extracted by the mixing path (in bits, per-particle prefactor omitted):
     H(priors) + H(outcome distribution of the average state) - H(chambers)."""
-    probs = _outcome_probabilities(cfg, components)
-    outcome_dist = cfg.priors @ probs
-    chamber_weights = np.array([w for _, _, w in chamber_distribution(cfg, components)])
-    return shannon_entropy(cfg.priors) + shannon_entropy(outcome_dist) - shannon_entropy(chamber_weights)
+    plan, probs = _config_probabilities(cfg, components)
+    return float(_w1(probs, cfg.priors, plan)[0])
 
 
 def work_retrieval_w2(cfg: CycleConfig, components) -> float:
     """Work required by the reversible return path:
     S(average state) - sum_i p_i S(rho_i), in bits."""
-    rho_avg = sum(p * rho for p, rho in zip(cfg.priors, components))
-    return von_neumann_entropy(rho_avg) - float(
-        sum(p * von_neumann_entropy(rho) for p, rho in zip(cfg.priors, components))
-    )
+    return _w2(cfg.priors, components)
 
 
 def singleton_arguments(cfg: CycleConfig, components) -> np.ndarray:
@@ -227,8 +402,8 @@ def singleton_arguments(cfg: CycleConfig, components) -> np.ndarray:
     """
     if cfg.layout.singletons is None:
         raise ValueError(f"layout {cfg.layout.name!r} designates no singleton components")
-    probs = _outcome_probabilities(cfg, components)
-    return np.array([probs[int(s), j] for j, s in enumerate(cfg.layout.singletons)])
+    plan, probs = _config_probabilities(cfg, components)
+    return _singleton_args(probs, plan)[0]
 
 
 @dataclass(frozen=True)
@@ -284,64 +459,62 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     uniform priors and a layout that designates singleton components.
     """
     components = component_states(cfg.d) if components is None else list(components)
-    w1 = work_extraction_w1(cfg, components)
-    w2 = work_retrieval_w2(cfg, components)
-    delta = w1 - w2
-    zeta = mub_pair_bound(cfg.d)
-
-    uniform = bool(np.max(np.abs(cfg.priors - 1.0 / cfg.d)) <= UNIFORM_TOL)
-    has_singletons = cfg.layout.singletons is not None
-
-    if counterfactual_zeta is not None and not (uniform and has_singletons):
+    cycle = _prepare_cycle(cfg.d, cfg.priors, components, cfg.layout)
+    if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(
             "the binary-entropy form needs uniform priors and a layout with "
             "designated singletons; cannot evaluate a counterfactual bound here"
         )
+    batch = _cycle_kernel(cycle, cfg.basis[None])
 
-    s_args = None
-    hb_form = None
-    residual = None
-    in_window = None
-    if has_singletons:
-        s = singleton_arguments(cfg, components)
-        s_args = tuple(float(v) for v in s)
-        in_window = bool(np.all(s >= 1.0 - zeta) and np.all(s <= zeta + WINDOW_SLACK))
-        if uniform:
-            hb_form = binary_entropy(zeta) - float(
-                np.mean([binary_entropy(min(max(float(v), 0.0), 1.0)) for v in s])
-            )
-            residual = abs(delta - hb_form)
+    def first(values, cast):
+        return None if values is None else cast(values[0])
 
     cf_delta = None
     if counterfactual_zeta is not None:
-        cf = float(counterfactual_zeta)
-        cf_delta = binary_entropy(zeta) - binary_entropy(cf)
+        cf_delta = binary_entropy(cycle.zeta) - binary_entropy(float(counterfactual_zeta))
 
     return WorkReport(
         d=cfg.d,
-        w1=w1,
-        w2=w2,
-        delta_w=delta,
-        zeta=zeta,
+        w1=float(batch.w1[0]),
+        w2=cycle.w2,
+        delta_w=float(batch.delta_w[0]),
+        zeta=cycle.zeta,
         layout_name=cfg.layout.name,
-        singleton_args=s_args,
-        hb_form_delta_w=hb_form,
-        consistency_residual=residual,
-        in_window=in_window,
+        singleton_args=first(batch.singleton_args, lambda s: tuple(float(v) for v in s)),
+        hb_form_delta_w=first(batch.hb_form, float),
+        consistency_residual=first(batch.residual, float),
+        in_window=first(batch.in_window, bool),
         counterfactual=counterfactual_zeta is not None,
         counterfactual_zeta=None if counterfactual_zeta is None else float(counterfactual_zeta),
         counterfactual_delta_w=cf_delta,
     )
 
 
+def _haar_bases(d: int, rngs) -> np.ndarray:
+    """One Haar-random basis (rows) per generator, stacked as (n, d, d).
+
+    Each generator draws the real then the imaginary Gaussian part of its own
+    matrix; one stacked QR follows, with the R-diagonal phases folded back in.
+    """
+    z = np.empty((len(rngs), d, d), dtype=complex)
+    for k, rng in enumerate(rngs):
+        z[k] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    bases = (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
+    dev = _basis_deviations(bases)
+    bad = _first_failure(dev <= BASIS_TOL)
+    if bad is not None:
+        raise ValueError(f"membrane basis not orthonormal: deviation {dev[bad]:.3e}")
+    return bases
+
+
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
     matrix with the R-diagonal phases folded back in."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
-    diag[diag == 0] = 1.0
-    return (q * (diag / np.abs(diag))).T
+    return _haar_bases(int(d), [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -392,6 +565,27 @@ class ScanReport:
         }
 
 
+#: Membrane-basis storage per scan chunk. A scan evaluates its samples in
+#: chunks of this many bytes of d x d complex bases, so its working memory
+#: does not grow with the number of samples.
+SCAN_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_samples(d: int) -> int:
+    return max(1, SCAN_CHUNK_BYTES // (16 * d * d))
+
+
+def _histogram(values: np.ndarray, bins: int = 20):
+    """``np.histogram``, with its constant-data range (min - 1/2, max + 1/2)
+    also used when the spread is too small for finite-width bins. The merged
+    layout's net work is basis-independent, so its scan spread is roundoff."""
+    lo, hi = float(values.min()), float(values.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.all(edges[:-1] < edges[1:]):
+        return np.histogram(values, bins=bins)
+    return np.histogram(values, bins=bins, range=(lo - 0.5, hi + 0.5))
+
+
 def scan_bases(
     d: int,
     n_samples: int,
@@ -402,41 +596,42 @@ def scan_bases(
     """Evaluate the cycle on seeded Haar-random membrane bases.
 
     Deterministic for a given seed: each sample uses its own substream spawned
-    from the seed, so the report does not depend on evaluation order.
+    from the seed, so the report does not depend on evaluation order. Samples
+    run through the batched kernel in chunks of ``SCAN_CHUNK_BYTES``; spawning
+    is cumulative, so chunking leaves every sample's substream unchanged.
     """
     d = int(d)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
     layout = MembraneLayout.paper_preset(d) if layout is None else layout
-    components = component_states(d)
-    zeta = mub_pair_bound(d)
+    cycle = _prepare_cycle(d, np.full(d, 1.0 / d), component_states(d), layout)
+    zeta = cycle.zeta
 
-    streams = np.random.SeedSequence(seed).spawn(n_samples)
+    seq = np.random.SeedSequence(seed)
+    chunk = _chunk_samples(d)
     deltas = np.empty(n_samples)
     residual_max = 0.0
     excess_max = -np.inf
     n_in_window = 0
     outside = []
     in_window_max = None
-    for idx, stream in enumerate(streams):
-        basis = haar_random_basis(d, np.random.default_rng(stream))
-        cfg = cycle_config(d, basis=basis, layout=layout)
-        report = delta_w(cfg, components)
-        deltas[idx] = report.delta_w
-        if report.consistency_residual is not None:
-            residual_max = max(residual_max, report.consistency_residual)
-        if report.singleton_args is not None:
-            excess_max = max(excess_max, max(report.singleton_args) - zeta)
-            if report.in_window:
-                n_in_window += 1
-                in_window_max = (
-                    report.delta_w if in_window_max is None else max(in_window_max, report.delta_w)
-                )
-            else:
-                outside.append(idx)
+    for start in range(0, n_samples, chunk):
+        streams = seq.spawn(min(chunk, n_samples - start))
+        batch = _cycle_kernel(cycle, _haar_bases(d, [np.random.default_rng(s) for s in streams]))
+        deltas[start : start + len(streams)] = batch.delta_w
+        if batch.residual is not None:
+            residual_max = max(residual_max, float(batch.residual.max()))
+        if batch.in_window is not None:
+            excess_max = max(excess_max, float(batch.singleton_excess.max()))
+            inside = batch.delta_w[batch.in_window]
+            n_in_window += int(inside.size)
+            if inside.size:
+                top = float(inside.max())
+                in_window_max = top if in_window_max is None else max(in_window_max, top)
+            outside.extend(start + int(k) for k in np.flatnonzero(~batch.in_window))
 
-    counts, edges = np.histogram(deltas, bins=20)
+    counts, edges = _histogram(deltas)
     return ScanReport(
         d=d,
         seed=int(seed),

@@ -161,6 +161,8 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     Pass iff the largest |G - I| entry over all bases and the largest
     | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol.
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance must be finite (got {tol})")
     d = family.d
     labels = family.labels
     n_bases = d + 1

@@ -25,6 +25,9 @@ DENSITY_TRACE_TOL = 1e-12
 #: taking logarithms; anything below the floor is a genuinely invalid state.
 EIGENVALUE_FLOOR = -1e-10
 
+#: Top-eigenvalue gap below which a maximizer is reported as non-unique.
+DEGENERACY_TOL = 1e-9
+
 STATE_NORM_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -133,8 +136,8 @@ def projector(v) -> np.ndarray:
     return np.outer(a, a.conj())
 
 
-def check_density_matrix(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+def _density_spectrum(rho) -> tuple:
+    """Validated density matrix and its ascending eigenvalues (one eigvalsh)."""
     a = as_square_matrix(rho)
     dev = hermiticity_deviation(a)
     if dev > DENSITY_HERMITIAN_TOL:
@@ -145,7 +148,12 @@ def check_density_matrix(rho) -> np.ndarray:
     lam = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     if float(lam.min()) < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {float(lam.min()):.3e}")
-    return a
+    return a, lam
+
+
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+    return _density_spectrum(rho)[0]
 
 
 def shannon_entropy(p) -> float:
@@ -176,7 +184,6 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues in [-1e-10, 0) are numerical noise around zero and are
     clamped before the logarithm.
     """
-    a = check_density_matrix(rho)
-    lam = hermitian_eig(a, tol=HERMITIAN_TOL).values
+    lam = _density_spectrum(rho)[1]
     lam = lam[lam > 0.0]
     return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0

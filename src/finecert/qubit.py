@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import check_state_vector, fix_global_phase
+from .numerics import DEGENERACY_TOL, check_state_vector, fix_global_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -27,8 +27,6 @@ PAULI_AXES = {
 }
 
 UNIT_TOL = 1e-10
-#: Top-eigenvalue gap below which a maximizer is reported as non-unique.
-DEGENERACY_TOL = 1e-9
 
 
 def check_unit_vector(k) -> np.ndarray:

@@ -170,3 +170,12 @@ def test_render_json_formats():
     assert render_json([1.0, -0.0]) == "[1, 0]"
     value = 0.1234567890123456789
     assert json.loads(render_json(value)) == value
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_mub_non_finite_tolerance_is_invalid_parameter(capsys, tol):
+    code, out, err = run_cli(capsys, "mub", "3", "--verify", "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+    assert "Traceback" not in err
