@@ -17,6 +17,7 @@ than an estimate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,26 @@ class GridSearchResult:
     phi_step: float
 
 
+#: Amplitude bytes of one grid-search block; larger scans loop over more of
+#: the leading angles, so memory stays bounded whatever the grid size.
+GRID_CHUNK_BYTES = 1 << 22
+
+
+def _grid_trailing_axes(d: int, steps: int) -> int:
+    """Number t of trailing grid axes meshed into one block of steps**t rows.
+
+    The largest t, up to all 2d-3 axes after x0, whose (rows, d) complex
+    amplitudes fit GRID_CHUNK_BYTES, and at least 1. A block therefore never
+    has a single row: a one-row product takes BLAS's matrix-vector path, whose
+    roundoff differs from the matrix product's, and the tie-break would then
+    depend on the block size.
+    """
+    t = 1
+    while t < 2 * d - 3 and 16 * d * steps ** (t + 1) <= GRID_CHUNK_BYTES:
+        t += 1
+    return t
+
+
 def _grid_amplitudes(x_cols, phi_cols, d: int) -> np.ndarray:
     n = x_cols[0].shape[0]
     amps = np.empty((n, d), dtype=complex)
@@ -210,6 +231,9 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     included) and d-1 phases over [0, 2 pi) with ``steps_per_angle`` values
     each. Deterministic: on ties the lexicographically smallest angle tuple
     wins. Intended for cross-checking the spectral path in dimension <= 5.
+    Rows are evaluated in blocks of at most ``GRID_CHUNK_BYTES`` of
+    amplitudes (one innermost-axis line at the least), so memory does not
+    grow with the grid.
     """
     d = ens.dim
     if d > MAX_GRID_DIM:
@@ -228,20 +252,23 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     op = certainty_operator(ens)
     x_grid = np.linspace(0.0, np.pi / 2.0, steps)
     phi_grid = 2.0 * np.pi * np.arange(steps) / steps
-    inner_axes = [x_grid] * (d - 2) + [phi_grid] * (d - 1)
+    axes = [x_grid] * (d - 1) + [phi_grid] * (d - 1)
+    t = _grid_trailing_axes(d, steps)
 
-    mesh = np.meshgrid(*inner_axes, indexing="ij")
-    cols = [m.ravel() for m in mesh]
-    n = cols[0].shape[0]
+    mesh = np.meshgrid(*axes[-t:], indexing="ij")
+    trailing = [m.ravel() for m in mesh]
+    n = trailing[0].shape[0]
 
     best_value = -np.inf
     best_angles = None
-    # Outer loop over x0 keeps chunks in lexicographic order; meshgrid with
-    # C-order ravel preserves it over the remaining axes, so argmax picks the
+    # The outer loop runs over the leading angles (x0 first) in lexicographic
+    # order; meshgrid with C-order ravel preserves it over the trailing axes,
+    # and only a strictly larger value replaces the best, so argmax picks the
     # lexicographically smallest angle tuple on exact ties.
-    for x0 in x_grid:
-        x_cols = [np.full(n, x0)] + cols[: d - 2]
-        phi_cols = cols[d - 2 :]
+    for leading in itertools.product(*axes[:-t]):
+        cols = [np.full(n, value) for value in leading] + trailing
+        x_cols = cols[: d - 1]
+        phi_cols = cols[d - 1 :]
         amps = _grid_amplitudes(x_cols, phi_cols, d)
         values = np.sum(amps.conj() * (amps @ op.T), axis=1).real
         pos = int(np.argmax(values))
@@ -294,8 +321,9 @@ def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
     """Outcome vectors (j1 of basis k1, j2 of basis k2) in dimension d.
 
     Labels: "z" for the computational basis, 0..d-1 for the quadratic-phase
-    bases. For d=2 the quadratic construction degenerates, so "z" maps to the
-    sigma_z eigenbasis and 0 to the sigma_x eigenbasis.
+    bases; only the two requested vectors are built. For d=2 the quadratic
+    construction degenerates, so "z" maps to the sigma_z eigenbasis and 0 to
+    the sigma_x eigenbasis.
     """
     d = int(d)
     if d == 2:
@@ -315,11 +343,17 @@ def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
             if int(j) not in (0, 1):
                 raise ValueError(f"outcome index {j} outside 0..1")
         return bases[i1][int(j1)], bases[i2][int(j2)]
-    family = _mub.mub_family(d)
-    if family.basis_index(k1) == family.basis_index(k2):
+    d = _mub.check_odd_prime(d)
+    i1, i2 = _mub.basis_index(d, k1), _mub.basis_index(d, k2)
+    if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
                          "either identical or orthogonal and carry no pair bound")
-    return family.vector(k1, j1), family.vector(k2, j2)
+
+    def vector(i, j):
+        j = _mub.outcome_index(d, j)
+        return np.eye(d, dtype=complex)[j] if i == 0 else _mub.mub_vector(d, i - 1, j)
+
+    return vector(i1, j1), vector(i2, j2)
 
 
 def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> MeasurementEnsemble:

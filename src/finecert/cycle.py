@@ -48,6 +48,15 @@ UNIFORM_TOL = 1e-12
 WINDOW_SLACK = 1e-10
 
 
+def _component(i: int, v: np.ndarray) -> np.ndarray:
+    """(|i><i| + |v><v|)/2 for the paired-basis vector v of outcome i."""
+    d = v.shape[0]
+    rho = np.zeros((d, d), dtype=complex)
+    rho[i, i] = 0.5
+    rho += 0.5 * np.outer(v, v.conj())
+    return rho
+
+
 def component_state(d: int, i: int) -> np.ndarray:
     """Equal mixture of outcome i's projectors from the two paired bases.
 
@@ -64,14 +73,16 @@ def component_state(d: int, i: int) -> np.ndarray:
         v = _qubit.pauli_eigenbasis("x")[i]
     else:
         v = _mub.mub_vector(d, 0, i)
-    rho = np.zeros((d, d), dtype=complex)
-    rho[i, i] = 0.5
-    rho += 0.5 * np.outer(v, v.conj())
-    return rho
+    return _component(i, v)
 
 
 def component_states(d: int) -> list:
-    return [component_state(d, i) for i in range(int(d))]
+    """All d component states, their paired vectors taken from one basis."""
+    d = int(d)
+    if not _mub.is_prime(d):
+        raise ValueError(f"d must be prime (got {d})")
+    paired = _qubit.pauli_eigenbasis("x") if d == 2 else _mub.quadratic_basis(d, 0)
+    return [_component(i, v) for i, v in enumerate(paired)]
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,14 @@ a family of d quadratic-phase bases
 
     |j, k> = d^{-1/2} * sum_l w^{k l^2 - 2 j l} |l>,   k = 0..d-1,
 
-whose cross-basis squared overlaps all equal 1/d. The phase exponent is
-reduced modulo d before the root of unity is evaluated, so large indices never
-accumulate angle error. For d = 2 the quadratic phase degenerates (the -2jl
-term vanishes mod 2) and the construction is rejected; qubit users get the
-three Pauli eigenbases from :mod:`finecert.qubit` instead.
+whose cross-basis squared overlaps all equal 1/d (the quadratic-phase case of
+Wootters & Fields, Ann. Phys. 191, 363, 1989). Every amplitude is one entry of
+a single table of the d roots w^e / sqrt(d), looked up at the phase exponent
+reduced modulo d, so large indices never accumulate angle error and a vector
+has the same bytes whichever function builds it. For d = 2 the quadratic
+phase degenerates (the -2jl term vanishes mod 2) and the construction is
+rejected; qubit users get the three Pauli eigenbases from
+:mod:`finecert.qubit` instead.
 
 Basis labels used throughout the package: the string ``"z"`` names the
 computational basis, integers ``0..d-1`` name the quadratic-phase bases.
@@ -61,27 +64,62 @@ def computational_basis(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex)
 
 
+def _roots(d: int) -> np.ndarray:
+    """Entry e is the amplitude w^e / sqrt(d) for a reduced exponent e."""
+    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+
+
+def _check_basis_index(d: int, k) -> int:
+    k = int(k)
+    if not 0 <= k < d:
+        raise ValueError(f"basis index k={k} outside 0..{d - 1}")
+    return k
+
+
+def _quadratic_rows(roots: np.ndarray, k: int, j) -> np.ndarray:
+    """Vectors j (an int, or a column of ints for several rows) of basis k."""
+    d = roots.size
+    l = np.arange(d)
+    return roots[(k * l * l - 2 * j * l) % d]
+
+
+def outcome_index(d: int, j) -> int:
+    """Validated outcome (vector) index j in 0..d-1."""
+    j = int(j)
+    if not 0 <= j < d:
+        raise ValueError(f"outcome index j={j} outside 0..{d - 1}")
+    return j
+
+
+def basis_index(d: int, label) -> int:
+    """Position of basis ``label`` in a family: 0 for "z", 1 + k for basis k."""
+    if isinstance(label, str):
+        if label.lower() == Z_LABEL:
+            return 0
+        raise ValueError(f"unknown basis label {label!r}; use 'z' or 0..{d - 1}")
+    k = int(label)
+    if not 0 <= k < d:
+        raise ValueError(f"basis label {k} outside 0..{d - 1}")
+    return 1 + k
+
+
 def mub_vector(d: int, k: int, j: int) -> np.ndarray:
     """Vector j of quadratic-phase basis k in dimension d.
 
     Every amplitude has modulus 1/sqrt(d); the exponent k*l^2 - 2*j*l is
-    reduced mod d before evaluating the d-th root of unity.
+    reduced mod d before the d-th root of unity is looked up.
     """
     d = check_odd_prime(d)
-    k = int(k)
-    j = int(j)
-    if not 0 <= k < d:
-        raise ValueError(f"basis index k={k} outside 0..{d - 1}")
-    if not 0 <= j < d:
-        raise ValueError(f"outcome index j={j} outside 0..{d - 1}")
-    l = np.arange(d)
-    exponent = (k * l * l - 2 * j * l) % d
-    return np.exp(2j * np.pi * exponent / d) / np.sqrt(d)
+    k = _check_basis_index(d, k)
+    j = outcome_index(d, j)
+    return _quadratic_rows(_roots(d), k, j)
 
 
 def quadratic_basis(d: int, k: int) -> np.ndarray:
     """All d vectors of quadratic-phase basis k, stacked as rows."""
-    return np.stack([mub_vector(d, k, j) for j in range(int(d))])
+    d = check_odd_prime(d)
+    k = _check_basis_index(d, k)
+    return _quadratic_rows(_roots(d), k, np.arange(d)[:, None])
 
 
 @dataclass(frozen=True)
@@ -100,32 +138,29 @@ class MubFamily:
         return (Z_LABEL,) + tuple(range(self.d))
 
     def basis_index(self, label) -> int:
-        if isinstance(label, str):
-            if label.lower() == Z_LABEL:
-                return 0
-            raise ValueError(f"unknown basis label {label!r}; use 'z' or 0..{self.d - 1}")
-        k = int(label)
-        if not 0 <= k < self.d:
-            raise ValueError(f"basis label {k} outside 0..{self.d - 1}")
-        return 1 + k
+        return basis_index(self.d, label)
 
     def basis(self, label) -> np.ndarray:
         return self.bases[self.basis_index(label)]
 
     def vector(self, label, j: int) -> np.ndarray:
-        j = int(j)
-        if not 0 <= j < self.d:
-            raise ValueError(f"outcome index j={j} outside 0..{self.d - 1}")
+        j = outcome_index(self.d, j)
         return self.bases[self.basis_index(label), j]
 
 
 def mub_family(d: int) -> MubFamily:
-    """Computational basis plus the d quadratic-phase bases."""
+    """Computational basis plus the d quadratic-phase bases.
+
+    Filled one basis at a time from one roots table, so temporaries stay
+    O(d^2).
+    """
     d = check_odd_prime(d)
+    roots = _roots(d)
+    j = np.arange(d)[:, None]
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d, dtype=complex)
     for k in range(d):
-        bases[1 + k] = quadratic_basis(d, k)
+        bases[1 + k] = _quadratic_rows(roots, k, j)
     return MubFamily(d=d, bases=bases)
 
 
@@ -159,11 +194,17 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     """Check every within-basis Gram entry and every cross-basis overlap.
 
     Pass iff the largest |G - I| entry over all bases and the largest
-    | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol.
+    | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol. A family
+    whose bases are not a (d+1, d, d) array of finite entries is rejected.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
     d = family.d
+    shape = np.shape(family.bases)
+    if shape != (d + 1, d, d):
+        raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
+    if not np.all(np.isfinite(family.bases)):
+        raise ValueError("family bases contain NaN or Inf entries")
     labels = family.labels
     n_bases = d + 1
 

@@ -288,3 +288,72 @@ def test_all_outcome_pairs_bound_rejects_same_basis():
         all_outcome_pairs_bound(3, 1, 1, 0, 1)
     with pytest.raises(ValueError, match="differ"):
         mub_pair_ensemble(2, "z", "z")
+
+
+# ------------------------------------------------------- grid-search row blocks
+
+
+def _grid_ensembles():
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(z)
+    random3 = measurement_ensemble(
+        [("a", 0.3, projector(q[:, 0])), ("b", 0.7, projector(np.eye(3)[2]))]
+    )
+    return [
+        (pauli_pair_ensemble("x", "z"), 181),
+        (measurement_ensemble([("only", 1.0, projector([1.0, 0.0]))]), 9),
+        (mub_pair_ensemble(3, "z", 1, 2, 0), 12),
+        # exact ties over every row with x0 = 0: the smallest angles must win
+        (measurement_ensemble([("only", 1.0, projector([1.0, 0.0, 0.0]))]), 10),
+        (random3, 11),
+    ]
+
+
+def test_gridsearch_row_blocks_give_identical_result(monkeypatch):
+    import finecert.bounds as bounds_module
+
+    whole = [zeta_gridsearch(ens, steps) for ens, steps in _grid_ensembles()]
+    # a cap of one byte still gives blocks of one innermost-axis line
+    for t in (0, 1, 2):
+        for (ens, steps), expected in zip(_grid_ensembles(), whole):
+            cap = max(1, 16 * ens.dim * steps**t)
+            monkeypatch.setattr(bounds_module, "GRID_CHUNK_BYTES", cap)
+            expected_t = max(1, min(t, 2 * ens.dim - 3))
+            assert bounds_module._grid_trailing_axes(ens.dim, steps) == expected_t
+            got = zeta_gridsearch(ens, steps)
+            assert got.zeta == expected.zeta
+            assert got.angles == expected.angles
+            assert got.state.tobytes() == expected.state.tobytes()
+            assert (got.steps_per_angle, got.x_step, got.phi_step) == (
+                expected.steps_per_angle, expected.x_step, expected.phi_step)
+    assert whole[3].angles.x == (0.0, 0.0) and whole[3].angles.phi == (0.0, 0.0)
+
+
+class _StopAfterFirstBlock(Exception):
+    pass
+
+
+def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
+    # 12 steps at d = 5 passes MAX_GRID_POINTS with 12**7 rows per x0 value;
+    # only the first block is planned and built, then the scan is stopped.
+    import finecert.bounds as bounds_module
+
+    steps, d = 12, 5
+    assert steps ** (2 * (d - 1)) <= bounds_module.MAX_GRID_POINTS
+    t = bounds_module._grid_trailing_axes(d, steps)
+    rows = steps**t
+    assert 16 * d * rows <= bounds_module.GRID_CHUNK_BYTES
+    assert t < 2 * d - 3
+
+    seen = []
+
+    def first_block(x_cols, phi_cols, dim):
+        seen.append(x_cols[0].shape[0])
+        raise _StopAfterFirstBlock
+
+    monkeypatch.setattr(bounds_module, "_grid_amplitudes", first_block)
+    ens = measurement_ensemble([("only", 1.0, projector(np.eye(d)[0]))])
+    with pytest.raises(_StopAfterFirstBlock):
+        zeta_gridsearch(ens, steps)
+    assert seen == [rows]

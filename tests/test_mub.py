@@ -129,3 +129,25 @@ def test_basis_lookup_labels():
         fam.basis("w")
     with pytest.raises(ValueError, match="label"):
         fam.basis(5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_verify_mub_rejects_one_non_finite_entry(bad):
+    bases = mub_family(5).bases.copy()
+    bases[2, 3, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        verify_mub(MubFamily(d=5, bases=bases))
+
+
+def test_verify_mub_rejects_all_nan_basis():
+    bases = mub_family(5).bases.copy()
+    bases[0] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        verify_mub(MubFamily(d=5, bases=bases))
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (6, 5, 4), (6, 25), (7, 5, 5)])
+def test_verify_mub_rejects_wrong_shape(shape):
+    bases = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match="shape"):
+        verify_mub(MubFamily(d=5, bases=bases))
