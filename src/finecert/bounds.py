@@ -158,9 +158,10 @@ def hyperspherical_state(x, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float).reshape(-1)
     if x.size != phi.size or x.size < 1:
         raise ValueError(f"need d-1 moduli angles and d-1 phases, got {x.size} and {phi.size}")
-    if np.any(x < 0.0) or np.any(x > np.pi / 2.0 + 1e-12):
+    # written as "not inside" so that NaN angles are rejected too
+    if not (np.all(x >= 0.0) and np.all(x <= np.pi / 2.0 + 1e-12)):
         raise ValueError("moduli angles must lie in [0, pi/2]")
-    if np.any(phi < 0.0) or np.any(phi >= 2.0 * np.pi):
+    if not (np.all(phi >= 0.0) and np.all(phi < 2.0 * np.pi)):
         raise ValueError("phases must lie in [0, 2 pi)")
     d = x.size + 1
     amps = np.empty(d, dtype=complex)

@@ -191,6 +191,8 @@ def _cmd_scan_alpha(args):
 
 
 def _cmd_cycle(args) -> dict:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1 (got {args.samples})")
     layout = (
         _cycle.MembraneLayout.paper_preset(args.d)
         if args.layout == "paper"

@@ -32,6 +32,7 @@ batched kernel; a scan streams its samples through it in fixed-size chunks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,30 +127,12 @@ class MembraneLayout:
 
     @classmethod
     def _from_singletons(cls, name: str, d: int, singles: tuple) -> "MembraneLayout":
-        groups = []
-        for s in singles:
-            rest = tuple(i for i in range(d) if i != s)
-            groups.append((rest, (s,)))
-        return cls(name=name, groups=tuple(groups), singletons=singles)
+        groups = tuple((tuple(range(s)) + tuple(range(s + 1, d)), (s,)) for s in singles)
+        return cls(name=name, groups=groups, singletons=singles)
 
 
 def check_layout(layout: MembraneLayout, d: int) -> MembraneLayout:
-    d = int(d)
-    if len(layout.groups) != d:
-        raise ValueError(f"layout covers {len(layout.groups)} outcomes, expected {d}")
-    full = set(range(d))
-    for j, outcome_groups in enumerate(layout.groups):
-        seen = []
-        for group in outcome_groups:
-            seen.extend(int(i) for i in group)
-        if sorted(seen) != sorted(full) or len(seen) != d:
-            raise ValueError(f"groups for outcome {j} do not partition 0..{d - 1}: {outcome_groups}")
-    if layout.singletons is not None:
-        if len(layout.singletons) != d:
-            raise ValueError("need one designated singleton per outcome")
-        for j, s in enumerate(layout.singletons):
-            if (int(s),) not in tuple(tuple(int(i) for i in g) for g in layout.groups[j]):
-                raise ValueError(f"designated singleton {s} is not a group of outcome {j}")
+    _layout_plan(layout, int(d))
     return layout
 
 
@@ -204,7 +187,8 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
 #
 # Every cycle evaluation, single or scanned, runs through the helpers below on
 # a stack of membrane bases of shape (n, d, d). Work that does not depend on
-# the basis (layout checks, component validation, W2) is done once per stack.
+# the basis (layout checks, component validation, W2) is done once per stack;
+# a scan's uniform-prior components and W2 are built once per dimension.
 
 
 @dataclass(frozen=True)
@@ -219,17 +203,36 @@ class _LayoutPlan:
 
 
 def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
-    check_layout(layout, d)
-    chambers = tuple(
-        (j, tuple(int(i) for i in group))
-        for j, outcome_groups in enumerate(layout.groups)
-        for group in outcome_groups
+    """Check a layout and turn it into index arrays, in one pass over its groups."""
+    if len(layout.groups) != d:
+        raise ValueError(f"layout covers {len(layout.groups)} outcomes, expected {d}")
+    chambers = []
+    for j, outcome_groups in enumerate(layout.groups):
+        chambers.extend((j, tuple(map(int, group))) for group in outcome_groups)
+    sizes = np.array([len(group) for _, group in chambers], dtype=np.intp)
+    flat_i = np.fromiter(
+        (i for _, group in chambers for i in group), dtype=np.intp, count=int(sizes.sum())
     )
-    sizes = np.array([len(group) for _, group in chambers])
-    members = np.array([i * d + j for j, group in chambers for i in group], dtype=np.intp)
+    flat_j = np.repeat(np.array([j for j, _ in chambers], dtype=np.intp), sizes)
+    # every outcome's groups hold each of 0..d-1 exactly once
+    in_range = (flat_i >= 0) & (flat_i < d)
+    counts = np.bincount(flat_j[in_range] * d + flat_i[in_range], minlength=d * d).reshape(d, d)
+    stray = np.bincount(flat_j[~in_range], minlength=d)
+    bad = _first_failure(np.all(counts == 1, axis=1) & (stray == 0))
+    if bad is not None:
+        raise ValueError(f"groups for outcome {bad} do not partition 0..{d - 1}: {layout.groups[bad]}")
+    singles = None
+    if layout.singletons is not None:
+        if len(layout.singletons) != d:
+            raise ValueError("need one designated singleton per outcome")
+        singleton_groups = {(j, group[0]) for j, group in chambers if len(group) == 1}
+        for j, s in enumerate(layout.singletons):
+            if (j, int(s)) not in singleton_groups:
+                raise ValueError(f"designated singleton {s} is not a group of outcome {j}")
+        singles = np.array([int(s) for s in layout.singletons])
+    members = flat_i * d + flat_j
     starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-    singles = None if layout.singletons is None else np.array([int(s) for s in layout.singletons])
-    return _LayoutPlan(chambers, members, starts, sizes > 0, singles)
+    return _LayoutPlan(tuple(chambers), members, starts, sizes > 0, singles)
 
 
 def _component_stack(components, d: int) -> np.ndarray:
@@ -332,15 +335,35 @@ class _CycleBatch:
     residual: np.ndarray | None
 
 
-def _prepare_cycle(d: int, priors: np.ndarray, components, layout: MembraneLayout) -> _Cycle:
-    plan = _layout_plan(layout, d)
+def _cycle_parts(d: int, priors: np.ndarray, components) -> tuple:
+    """Priors, validated component stack and W2: the part of a cycle that
+    depends on neither the membrane basis nor the layout."""
     comps = _component_stack(components, d)
+    return priors, comps, _w2(priors, comps)
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_parts(d: int) -> tuple:
+    """``_cycle_parts`` of the uniform-prior standard components, once per d.
+
+    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` have components, so
+    the memo holds at most 18 entries; its arrays are read-only.
+    """
+    priors, comps, w2 = _cycle_parts(d, np.full(d, 1.0 / d), component_states(d))
+    priors.setflags(write=False)
+    comps.setflags(write=False)
+    return priors, comps, w2
+
+
+def _prepare_cycle(d: int, parts: tuple, layout: MembraneLayout) -> _Cycle:
+    priors, comps, w2 = parts
+    plan = _layout_plan(layout, d)
     uniform = bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL)
     return _Cycle(
         priors=priors,
         components=comps,
         plan=plan,
-        w2=_w2(priors, comps),
+        w2=w2,
         zeta=mub_pair_bound(d),
         hb_applies=uniform and plan.singletons is not None,
     )
@@ -470,7 +493,7 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     uniform priors and a layout that designates singleton components.
     """
     components = component_states(cfg.d) if components is None else list(components)
-    cycle = _prepare_cycle(cfg.d, cfg.priors, components, cfg.layout)
+    cycle = _prepare_cycle(cfg.d, _cycle_parts(cfg.d, cfg.priors, components), cfg.layout)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(
             "the binary-entropy form needs uniform priors and a layout with "
@@ -506,11 +529,13 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
     """One Haar-random basis (rows) per generator, stacked as (n, d, d).
 
     Each generator draws the real then the imaginary Gaussian part of its own
-    matrix; one stacked QR follows, with the R-diagonal phases folded back in.
+    matrix in one call; one stacked QR follows, with the R-diagonal phases
+    folded back in.
     """
     z = np.empty((len(rngs), d, d), dtype=complex)
     for k, rng in enumerate(rngs):
-        z[k] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = rng.standard_normal((2, d, d))
+        z[k] = g[0] + 1j * g[1]
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
@@ -616,7 +641,7 @@ def scan_bases(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
     layout = MembraneLayout.paper_preset(d) if layout is None else layout
-    cycle = _prepare_cycle(d, np.full(d, 1.0 / d), component_states(d), layout)
+    cycle = _prepare_cycle(d, _uniform_parts(d), layout)
     zeta = cycle.zeta
 
     seq = np.random.SeedSequence(seed)

@@ -164,7 +164,7 @@ def shannon_entropy(p) -> float:
     if float(a.min()) < 0.0:
         raise ValueError(f"negative probability {float(a.min()):.3e}")
     total = float(a.sum())
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:  # NaN-safe: a NaN entry gives a NaN sum
         raise ValueError(f"probabilities sum to {total:.12f}, not 1")
     positive = a[a > 0.0]
     return float(-(positive * np.log2(positive)).sum())

@@ -34,7 +34,7 @@ def check_unit_vector(k) -> np.ndarray:
     if a.shape[0] != 3:
         raise ValueError(f"expected a 3-component direction, got {a.shape[0]}")
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > UNIT_TOL:
+    if not abs(norm - 1.0) <= UNIT_TOL:  # NaN-safe: a NaN entry gives a NaN norm
         raise ValueError(f"direction is not a unit vector: norm {norm:.12f}")
     return a
 

@@ -357,3 +357,19 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
     with pytest.raises(_StopAfterFirstBlock):
         zeta_gridsearch(ens, steps)
     assert seen == [rows]
+
+
+@pytest.mark.parametrize(
+    "x, phi",
+    [
+        ([np.nan], [0.0]),
+        ([0.3], [np.nan]),
+        ([0.3, np.nan], [0.0, 1.0]),
+        ([np.inf], [0.0]),
+        ([0.3], [-np.inf]),
+        ([0.3], [np.inf]),
+    ],
+)
+def test_hyperspherical_state_rejects_non_finite_angles(x, phi):
+    with pytest.raises(ValueError):
+        hyperspherical_state(x, phi)

@@ -179,3 +179,12 @@ def test_mub_non_finite_tolerance_is_invalid_parameter(capsys, tol):
     assert out == ""
     assert "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cycle_non_positive_samples_is_invalid_parameter(capsys, samples):
+    code, out, err = run_cli(capsys, "cycle", "--d", "3", "--samples", samples)
+    assert code == 3
+    assert out == ""
+    assert "--samples" in err
+    assert "Traceback" not in err

@@ -175,3 +175,9 @@ def test_density_matrix_validation():
         check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         check_density_matrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("p", [[np.nan], [np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_shannon_entropy_rejects_non_finite_probabilities(p):
+    with pytest.raises(ValueError):
+        shannon_entropy(p)

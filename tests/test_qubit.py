@@ -193,3 +193,13 @@ def test_pauli_eigenbases_are_orthonormal_and_unbiased():
         for j in range(i + 1, 3):
             overlap = np.abs(bases[i] @ bases[j].conj().T) ** 2
             np.testing.assert_allclose(overlap, np.full((2, 2), 0.5), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "direction", [[np.nan, 0.0, 0.0], [1.0, np.nan, 0.0], [np.nan] * 3, [np.inf, 0.0, 0.0]]
+)
+def test_non_finite_direction_rejected(direction):
+    with pytest.raises(ValueError):
+        spin_projector(direction)
+    with pytest.raises(ValueError):
+        pair_certainty(direction, [0.0, 0.0, 1.0])

@@ -1,0 +1,181 @@
+"""The per-dimension memo of a scan's basis-independent cycle, and the layout plan.
+
+``scan_bases`` takes its uniform priors, component stack and W2 from a memo
+keyed by d. These tests check that a cold and a warm memo give the same
+report, that the memo cannot be changed from outside, and that the one-pass
+layout plan gives the arrays and error messages recorded from the earlier
+two-pass ``check_layout``/``_layout_plan``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from finecert import cycle
+from finecert.cycle import MembraneLayout, check_layout, component_states, scan_bases
+
+LAYOUTS = ("paper_preset", "symmetric_preset", "finest", "merged")
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (3, 40), (31, 70)])
+@pytest.mark.parametrize("factory", LAYOUTS)
+def test_cold_memo_scan_equals_warm_memo_scan(d, n, factory):
+    layout = getattr(MembraneLayout, factory)(d)
+    cycle._uniform_parts.cache_clear()
+    cold = scan_bases(d, n, 17, layout=layout, keep_samples=True).as_dict()
+    assert cycle._uniform_parts.cache_info().currsize == 1
+    warm = scan_bases(d, n, 17, layout=layout, keep_samples=True).as_dict()
+    assert cycle._uniform_parts.cache_info().hits >= 1
+    assert warm == cold
+
+
+def test_memo_arrays_are_read_only():
+    priors, comps, w2 = cycle._uniform_parts(5)
+    assert isinstance(w2, float)
+    for array in (priors, comps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_memo_matches_per_call_parts():
+    priors, comps, w2 = cycle._uniform_parts(7)
+    fresh = cycle._cycle_parts(7, np.full(7, 1.0 / 7), component_states(7))
+    assert priors.tobytes() == fresh[0].tobytes()
+    assert comps.tobytes() == fresh[1].tobytes()
+    assert w2 == fresh[2]
+
+
+def test_mutating_component_states_does_not_change_a_later_scan():
+    cycle._uniform_parts.cache_clear()
+    before = scan_bases(3, 20, 4, keep_samples=True).as_dict()
+    states = component_states(3)
+    states[0][:] = 0.0
+    states[1] = np.eye(3)
+    cycle._uniform_parts.cache_clear()
+    states = component_states(3)
+    states[2] *= 2.0
+    assert scan_bases(3, 20, 4, keep_samples=True).as_dict() == before
+
+
+@pytest.mark.parametrize("d", [4, 67, 1])
+def test_memo_does_not_cache_failures(d):
+    cycle._uniform_parts.cache_clear()
+    with pytest.raises(ValueError):
+        scan_bases(d, 3, 0)
+    assert cycle._uniform_parts.cache_info().currsize == 0
+
+
+# Messages recorded from the two-pass check_layout.
+MALFORMED = [
+    (
+        MembraneLayout("x", (((0, 1, 2),),) * 2),
+        "layout covers 2 outcomes, expected 3",
+    ),
+    (
+        MembraneLayout("x", (((0, 1),),) * 3),
+        "groups for outcome 0 do not partition 0..2: ((0, 1),)",
+    ),
+    (
+        MembraneLayout("x", (((0, 1, 1, 2),),) * 3),
+        "groups for outcome 0 do not partition 0..2: ((0, 1, 1, 2),)",
+    ),
+    (
+        MembraneLayout("x", (((0, 0), (1,)),) * 3),
+        "groups for outcome 0 do not partition 0..2: ((0, 0), (1,))",
+    ),
+    (
+        MembraneLayout("x", (((0, 1, 3),),) * 3),
+        "groups for outcome 0 do not partition 0..2: ((0, 1, 3),)",
+    ),
+    (
+        MembraneLayout("x", (((0, 1, -1),),) * 3),
+        "groups for outcome 0 do not partition 0..2: ((0, 1, -1),)",
+    ),
+    (
+        MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(0, 2, 2)),
+        "designated singleton 0 is not a group of outcome 0",
+    ),
+    (
+        MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(2, 2, 5)),
+        "designated singleton 5 is not a group of outcome 2",
+    ),
+    (
+        MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(2, 2, -1)),
+        "designated singleton -1 is not a group of outcome 2",
+    ),
+    (
+        MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(2, 2)),
+        "need one designated singleton per outcome",
+    ),
+    (
+        # a partition failure at outcome 1 is reported before a singleton failure at outcome 0
+        MembraneLayout("x", (((0, 1), (2,)), ((0,), (1, 1)), ((0, 1), (2,))), singletons=(1, 2, 2)),
+        "groups for outcome 1 do not partition 0..2: ((0,), (1, 1))",
+    ),
+]
+
+
+@pytest.mark.parametrize("layout, message", MALFORMED)
+def test_check_layout_messages_unchanged(layout, message):
+    with pytest.raises(ValueError) as info:
+        check_layout(layout, 3)
+    assert str(info.value) == message
+
+
+def test_check_layout_accepts_empty_groups_and_returns_layout():
+    layout = MembraneLayout("x", (((0, 1, 2),), ((0, 1), (2,)), ((1, 2), (), (0,))))
+    assert check_layout(layout, 3) is layout
+    plan = cycle._layout_plan(layout, 3)
+    assert plan.filled.tolist() == [True, True, True, True, False, True]
+
+
+# SHA-256 of repr((chambers, members, starts, filled, singletons)) as lists,
+# recorded from the earlier two-pass plan construction.
+PLAN_GOLDEN = {
+    (2, "paper_preset"): "9efaa91bd7f26d24d894bd0f276e61393e42de88b42df6131c708d556f5ed369",
+    (2, "symmetric_preset"): "9efaa91bd7f26d24d894bd0f276e61393e42de88b42df6131c708d556f5ed369",
+    (2, "finest"): "b0fcf937a12f739dbb9e01575f8c3faa27ad1fc06156b1edda5fffda03a4b5e5",
+    (2, "merged"): "88cb1a4eda48649ea81956c7df71309988df9bdfff2dd429815b7476e88c6a94",
+    (3, "paper_preset"): "73149424f992850deecd8732a2ef3696f2bddabffb86bae3cdb90bbfca82db9d",
+    (3, "symmetric_preset"): "c361750f8d29c8ea1c885bfdadc002c97e767208f66816528ab43317b4f21c37",
+    (3, "finest"): "f8bb8ce61c4cb9975d2dc4ceb9473f5a4efb6dd23baac5d155531e1bde08b5b8",
+    (3, "merged"): "4d8819def75edf876ac5b2c1ec64123fd950312a3e079a7dcecf35a2a372001b",
+    (31, "paper_preset"): "11bf0d7f7b1cee8e6cae9941c66e496a729d555ed589ea64e2400188f960471d",
+    (31, "symmetric_preset"): "135fe8147f4c632c6b52b7ac44d53c46c64a3c5768e02cc2bdfa9e3eee571735",
+    (31, "finest"): "903cbb0d50f9951a2b41bc6c138a26f909f656c354bfbdbd54bca072b2a59cd8",
+    (31, "merged"): "3e7b36bf330658118c215807216366504f6a88b3fa892af7a6e9eec5ecb6f316",
+}
+
+
+def reference_plan(layout, d):
+    """The plan as the earlier two-pass construction defined it."""
+    chambers = tuple(
+        (j, tuple(int(i) for i in group))
+        for j, outcome_groups in enumerate(layout.groups)
+        for group in outcome_groups
+    )
+    sizes = np.array([len(group) for _, group in chambers])
+    members = [i * d + j for j, group in chambers for i in group]
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    singles = None if layout.singletons is None else [int(s) for s in layout.singletons]
+    return chambers, members, starts.tolist(), (sizes > 0).tolist(), singles
+
+
+@pytest.mark.parametrize("d, factory", sorted(PLAN_GOLDEN))
+def test_layout_plan_unchanged(d, factory):
+    layout = getattr(MembraneLayout, factory)(d)
+    plan = cycle._layout_plan(layout, d)
+    fields = (
+        plan.chambers,
+        plan.members.tolist(),
+        plan.starts.tolist(),
+        plan.filled.tolist(),
+        None if plan.singletons is None else plan.singletons.tolist(),
+    )
+    assert fields == reference_plan(layout, d)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == PLAN_GOLDEN[(d, factory)]
+    assert plan.members.dtype == np.intp and plan.starts.dtype == np.intp
+    assert plan.filled.dtype == bool
+    assert plan.singletons is None or plan.singletons.dtype == np.array([0]).dtype
