@@ -195,10 +195,13 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
 
     Pass iff the largest |G - I| entry over all bases and the largest
     | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol. A family
-    whose bases are not a (d+1, d, d) array of finite entries is rejected.
+    whose bases are not a (d+1, d, d) array of finite entries is rejected, and
+    so is a negative tolerance, which no family could meet.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
+    if tol < 0:
+        raise ValueError(f"tolerance must be non-negative (got {tol})")
     d = family.d
     shape = np.shape(family.bases)
     if shape != (d + 1, d, d):

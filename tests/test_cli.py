@@ -188,3 +188,11 @@ def test_cycle_non_positive_samples_is_invalid_parameter(capsys, samples):
     assert out == ""
     assert "--samples" in err
     assert "Traceback" not in err
+
+
+def test_mub_negative_tolerance_is_invalid_parameter(capsys):
+    code, out, err = run_cli(capsys, "mub", "3", "--verify", "--tol", "-1")
+    assert code == 3
+    assert out == ""
+    assert "non-negative" in err
+    assert "Traceback" not in err

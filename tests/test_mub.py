@@ -151,3 +151,9 @@ def test_verify_mub_rejects_wrong_shape(shape):
     bases = np.zeros(shape, dtype=complex)
     with pytest.raises(ValueError, match="shape"):
         verify_mub(MubFamily(d=5, bases=bases))
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300])
+def test_verify_mub_rejects_negative_tolerance(tol):
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_mub(mub_family(3), tol=tol)
