@@ -319,42 +319,21 @@ def pauli_triple_ensemble(outcomes=(0, 0, 0)) -> MeasurementEnsemble:
 
 
 def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
-    """Outcome vectors (j1 of basis k1, j2 of basis k2) in dimension d.
+    """Outcome vectors (j1 of basis k1, j2 of basis k2) in prime dimension d.
 
     Labels: "z" for the computational basis, 0..d-1 for the quadratic-phase
-    bases; only the two requested vectors are built. For d=2 the quadratic
-    construction degenerates, so "z" maps to the sigma_z eigenbasis and 0 to
-    the sigma_x eigenbasis.
+    bases; :mod:`finecert.mub` owns their meaning, d = 2 included (where the
+    pair is sigma_z with sigma_x). Only the two requested vectors are built.
     """
-    d = int(d)
-    if d == 2:
-        def index(label):
-            if isinstance(label, str) and label.lower() == _mub.Z_LABEL:
-                return 0
-            if int(label) == 0:
-                return 1
-            raise ValueError(f"d=2 supports basis labels 'z' and 0 only (got {label!r})")
-
-        i1, i2 = index(k1), index(k2)
-        if i1 == i2:
-            raise ValueError("the two bases must differ; same-basis outcomes are "
-                             "either identical or orthogonal and carry no pair bound")
-        bases = (_qubit.pauli_eigenbasis("z"), _qubit.pauli_eigenbasis("x"))
-        for j in (j1, j2):
-            if int(j) not in (0, 1):
-                raise ValueError(f"outcome index {j} outside 0..1")
-        return bases[i1][int(j1)], bases[i2][int(j2)]
-    d = _mub.check_odd_prime(d)
+    d = _mub._check_dim(d, qubit=True)
     i1, i2 = _mub.basis_index(d, k1), _mub.basis_index(d, k2)
     if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
                          "either identical or orthogonal and carry no pair bound")
-
-    def vector(i, j):
-        j = _mub.outcome_index(d, j)
-        return np.eye(d, dtype=complex)[j] if i == 0 else _mub.mub_vector(d, i - 1, j)
-
-    return vector(i1, j1), vector(i2, j2)
+    return (
+        _mub._member_rows(d, i1, _mub.outcome_index(d, j1)),
+        _mub._member_rows(d, i2, _mub.outcome_index(d, j2)),
+    )
 
 
 def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> MeasurementEnsemble:

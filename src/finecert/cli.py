@@ -228,11 +228,6 @@ def _cmd_scan_alpha(args):
 def _cmd_cycle(args) -> dict:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1 (got {args.samples})")
-    layout = (
-        _cycle.MembraneLayout.paper_preset(args.d)
-        if args.layout == "paper"
-        else _cycle.MembraneLayout.symmetric_preset(args.d)
-    )
     priors = args.priors if args.priors else None
     parameters = {
         "d": args.d,
@@ -244,12 +239,21 @@ def _cmd_cycle(args) -> dict:
         "counterfactual_zeta": args.counterfactual_zeta,
         "per_sample": bool(args.per_sample),
     }
-    if args.samples > 1:
+    scan = args.samples > 1
+    if scan:
         # a scan always draws seeded random bases; --basis only affects single runs
         if args.counterfactual_zeta is not None:
             raise ValueError("--counterfactual-zeta applies to a single cycle, not a scan")
         if priors is not None:
             raise ValueError("the basis scan uses uniform priors")
+    # reject d before the O(d^2) layout preset or a random basis is built
+    _cycle._check_d(args.d)
+    layout = (
+        _cycle.MembraneLayout.paper_preset(args.d)
+        if args.layout == "paper"
+        else _cycle.MembraneLayout.symmetric_preset(args.d)
+    )
+    if scan:
         report = _cycle.scan_bases(
             args.d, args.samples, args.seed, layout=layout, keep_samples=args.per_sample
         )

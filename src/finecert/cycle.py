@@ -2,8 +2,10 @@
 
 The cycle mixes d component states rho_i = (|i><i| + |i,0><i,0|)/2, one per
 outcome of the computational basis paired with quadratic-phase basis 0 (the
-sigma_x eigenbasis for d=2). Mixing through semi-transparent membranes, one
-per vector of an orthonormal membrane basis {e_j}, extracts
+sigma_x eigenbasis for d=2). :mod:`finecert.mub` owns that pairing and the
+dimension check; this module asks it for the paired vectors. Mixing through
+semi-transparent membranes, one per vector of an orthonormal membrane basis
+{e_j}, extracts
 
     W1 = H(priors) + H(outcome distribution) - H(chamber distribution),
 
@@ -28,17 +30,19 @@ would make delta_w positive.
 
 A single cycle and a scan over random membrane bases run through the same
 batched kernel; a scan streams its samples through it in fixed-size chunks.
+A configuration checks its layout once, on first use, and keeps the checked
+plan for every later evaluation.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mub as _mub
-from . import qubit as _qubit
 from .bounds import mub_pair_bound
 from .numerics import PROBABILITY_SUM_TOL, binary_entropy, shannon_entropy, von_neumann_entropy
 
@@ -48,42 +52,34 @@ UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
 WINDOW_SLACK = 1e-10
 
-
-def _component(i: int, v: np.ndarray) -> np.ndarray:
-    """(|i><i| + |v><v|)/2 for the paired-basis vector v of outcome i."""
-    d = v.shape[0]
-    rho = np.zeros((d, d), dtype=complex)
-    rho[i, i] = 0.5
-    rho += 0.5 * np.outer(v, v.conj())
-    return rho
+#: The cycle's dimension check: 2 or an odd prime up to ``mub.MAX_MUB_DIM``.
+_check_d = functools.partial(_mub._check_dim, qubit=True, not_prime="d must be prime (got {})")
 
 
 def component_state(d: int, i: int) -> np.ndarray:
     """Equal mixture of outcome i's projectors from the two paired bases.
 
     Eigenvalues are ((1 +- 1/sqrt d)/2, 0, ..., 0), so every component has
-    entropy H_b(1/2 + 1/(2 sqrt d)).
+    entropy H_b(1/2 + 1/(2 sqrt d)). It is row i of ``component_states(d)``.
     """
-    d = int(d)
-    if not _mub.is_prime(d):
-        raise ValueError(f"d must be prime (got {d})")
+    d = _check_d(d)
     i = int(i)
     if not 0 <= i < d:
         raise ValueError(f"component index {i} outside 0..{d - 1}")
-    if d == 2:
-        v = _qubit.pauli_eigenbasis("x")[i]
-    else:
-        v = _mub.mub_vector(d, 0, i)
-    return _component(i, v)
+    return component_states(d)[i]
 
 
 def component_states(d: int) -> list:
-    """All d component states, their paired vectors taken from one basis."""
-    d = int(d)
-    if not _mub.is_prime(d):
-        raise ValueError(f"d must be prime (got {d})")
-    paired = _qubit.pauli_eigenbasis("x") if d == 2 else _mub.quadratic_basis(d, 0)
-    return [_component(i, v) for i, v in enumerate(paired)]
+    """All d component states (|i><i| + |v_i><v_i|)/2, the paired vectors v_i
+    taken from one basis."""
+    d = _check_d(d)
+    states = []
+    for i, v in enumerate(_mub._member_rows(d, 1, np.arange(d))):
+        rho = np.zeros((d, d), dtype=complex)
+        rho[i, i] = 0.5
+        rho += 0.5 * np.outer(v, v.conj())
+        states.append(rho)
+    return states
 
 
 @dataclass(frozen=True)
@@ -143,6 +139,12 @@ class CycleConfig:
     basis: np.ndarray  # rows are the membrane states e_j
     layout: MembraneLayout
 
+    @functools.cached_property
+    def _plan(self) -> _LayoutPlan:
+        """The checked layout plan, built on first use. It is not a field, so
+        a copy made by ``dataclasses.replace`` builds its own."""
+        return _layout_plan(self.layout, self.d)
+
 
 def _basis_deviations(bases: np.ndarray) -> np.ndarray:
     """max |B B^dag - I| of each basis in a stack of shape (n, d, d)."""
@@ -159,9 +161,7 @@ def _first_failure(ok: np.ndarray):
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
     """Validated cycle configuration; defaults are uniform priors, the
     computational membrane basis, and the singleton-style default layout."""
-    d = int(d)
-    if not _mub.is_prime(d):
-        raise ValueError(f"d must be prime (got {d})")
+    d = _check_d(d)
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
         raise ValueError(f"need {d} priors, got {priors.shape[0]}")
@@ -179,8 +179,10 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     gram_dev = float(_basis_deviations(basis[None])[0])
     if not gram_dev <= BASIS_TOL:
         raise ValueError(f"membrane basis not orthonormal: deviation {gram_dev:.3e}")
-    layout = MembraneLayout.paper_preset(d) if layout is None else check_layout(layout, d)
-    return CycleConfig(d=d, priors=priors, basis=basis, layout=layout)
+    layout = MembraneLayout.paper_preset(d) if layout is None else layout
+    cfg = CycleConfig(d=d, priors=priors, basis=basis, layout=layout)
+    cfg._plan  # check the layout now; every evaluation of cfg reuses the plan
+    return cfg
 
 
 # ------------------------------------------------------------ batched kernel
@@ -202,13 +204,21 @@ class _LayoutPlan:
     singletons: np.ndarray | None
 
 
+def _layout_member(value) -> int:
+    """A component index of a layout: an int or a numpy integer, never a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"layout member {value!r} is not an integer") from None
+
+
 def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
     """Check a layout and turn it into index arrays, in one pass over its groups."""
     if len(layout.groups) != d:
         raise ValueError(f"layout covers {len(layout.groups)} outcomes, expected {d}")
     chambers = []
     for j, outcome_groups in enumerate(layout.groups):
-        chambers.extend((j, tuple(map(int, group))) for group in outcome_groups)
+        chambers.extend((j, tuple(map(_layout_member, group))) for group in outcome_groups)
     sizes = np.array([len(group) for _, group in chambers], dtype=np.intp)
     flat_i = np.fromiter(
         (i for _, group in chambers for i in group), dtype=np.intp, count=int(sizes.sum())
@@ -227,7 +237,7 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
             raise ValueError("need one designated singleton per outcome")
         singleton_groups = {(j, group[0]) for j, group in chambers if len(group) == 1}
         for j, s in enumerate(layout.singletons):
-            if (j, int(s)) not in singleton_groups:
+            if (j, _layout_member(s)) not in singleton_groups:
                 raise ValueError(f"designated singleton {s} is not a group of outcome {j}")
         singles = np.array([int(s) for s in layout.singletons])
     members = flat_i * d + flat_j
@@ -355,9 +365,8 @@ def _uniform_parts(d: int) -> tuple:
     return priors, comps, w2
 
 
-def _prepare_cycle(d: int, parts: tuple, layout: MembraneLayout) -> _Cycle:
+def _prepare_cycle(d: int, parts: tuple, plan: _LayoutPlan) -> _Cycle:
     priors, comps, w2 = parts
-    plan = _layout_plan(layout, d)
     uniform = bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL)
     return _Cycle(
         priors=priors,
@@ -398,9 +407,8 @@ def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
 
 
 def _config_probabilities(cfg: CycleConfig, components) -> tuple:
-    """Layout plan and outcome probabilities (a stack of one) of a configuration."""
-    plan = _layout_plan(cfg.layout, cfg.d)
-    return plan, _outcome_probabilities(cfg.basis[None], _component_stack(components, cfg.d))
+    """Checked layout plan and outcome probabilities (a stack of one) of a configuration."""
+    return cfg._plan, _outcome_probabilities(cfg.basis[None], _component_stack(components, cfg.d))
 
 
 def chamber_distribution(cfg: CycleConfig, components) -> list:
@@ -493,7 +501,7 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     uniform priors and a layout that designates singleton components.
     """
     components = component_states(cfg.d) if components is None else list(components)
-    cycle = _prepare_cycle(cfg.d, _cycle_parts(cfg.d, cfg.priors, components), cfg.layout)
+    cycle = _prepare_cycle(cfg.d, _cycle_parts(cfg.d, cfg.priors, components), cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(
             "the binary-entropy form needs uniform priors and a layout with "
@@ -636,12 +644,12 @@ def scan_bases(
     run through the batched kernel in chunks of ``SCAN_CHUNK_BYTES``; spawning
     is cumulative, so chunking leaves every sample's substream unchanged.
     """
-    d = int(d)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
+    d = _check_d(d)
     layout = MembraneLayout.paper_preset(d) if layout is None else layout
-    cycle = _prepare_cycle(d, _uniform_parts(d), layout)
+    cycle = _prepare_cycle(d, _uniform_parts(d), _layout_plan(layout, d))
     zeta = cycle.zeta
 
     seq = np.random.SeedSequence(seed)

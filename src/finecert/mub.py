@@ -10,13 +10,19 @@ whose cross-basis squared overlaps all equal 1/d (the quadratic-phase case of
 Wootters & Fields, Ann. Phys. 191, 363, 1989). Every amplitude is one entry of
 a single table of the d roots w^e / sqrt(d), looked up at the phase exponent
 reduced modulo d, so large indices never accumulate angle error and a vector
-has the same bytes whichever function builds it. For d = 2 the quadratic
-phase degenerates (the -2jl term vanishes mod 2) and the construction is
-rejected; qubit users get the three Pauli eigenbases from
-:mod:`finecert.qubit` instead.
+has the same bytes whichever function builds it.
+
+For d = 2 the quadratic phase degenerates (the -2jl term vanishes mod 2), so
+there is no quadratic family and ``mub_family(2)`` is rejected. The pair of
+bases that the pair bound and the membrane cycle use is still defined there:
+the sigma_z eigenbasis with the sigma_x eigenbasis in the place of quadratic
+basis 0. This module is the one place that makes that choice and that checks a
+dimension; :mod:`finecert.bounds` and :mod:`finecert.cycle` ask it for
+vectors.
 
 Basis labels used throughout the package: the string ``"z"`` names the
-computational basis, integers ``0..d-1`` name the quadratic-phase bases.
+computational basis, integers ``0..d-1`` name the quadratic-phase bases (at
+d = 2 only ``"z"`` and 0).
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import qubit as _qubit
 
 MAX_MUB_DIM = 64
 
@@ -46,13 +54,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_odd_prime(d: int) -> int:
+_NOT_ODD_PRIME = (
+    "d must be an odd prime (got {}); for d=2 use the Pauli eigenbases provided by finecert.qubit"
+)
+
+
+def _check_dim(d: int, qubit: bool = False, not_prime: str = _NOT_ODD_PRIME) -> int:
+    """d as an int if it is an odd prime up to MAX_MUB_DIM, or 2 with ``qubit``;
+    else raises ``not_prime`` formatted with d. Cheap: run it before O(d^2) work."""
     d = int(d)
-    if d == 2 or not is_prime(d):
-        raise ValueError(
-            f"d must be an odd prime (got {d}); for d=2 use the Pauli "
-            "eigenbases provided by finecert.qubit"
-        )
+    if not is_prime(d) or (d == 2 and not qubit):
+        raise ValueError(not_prime.format(d))
     if d > MAX_MUB_DIM:
         raise ValueError(f"d={d} exceeds the supported maximum {MAX_MUB_DIM}")
     return d
@@ -60,7 +72,7 @@ def check_odd_prime(d: int) -> int:
 
 def computational_basis(d: int) -> np.ndarray:
     """Standard basis of dimension d as rows of the identity, complex dtype."""
-    d = check_odd_prime(d)
+    d = _check_dim(d)
     return np.eye(d, dtype=complex)
 
 
@@ -77,25 +89,41 @@ def _check_basis_index(d: int, k) -> int:
 
 
 def _quadratic_rows(roots: np.ndarray, k: int, j) -> np.ndarray:
-    """Vectors j (an int, or a column of ints for several rows) of basis k."""
+    """Vector j (an int, or a 1-d array of ints for several rows) of basis k."""
     d = roots.size
     l = np.arange(d)
-    return roots[(k * l * l - 2 * j * l) % d]
+    return roots[(k * l * l - 2 * np.multiply.outer(j, l)) % d]
+
+
+def _member_rows(d: int, i: int, j) -> np.ndarray:
+    """Vector j (an int or a 1-d int array) of family member i: 0 for "z", 1 + k
+    for quadratic basis k, and 1 for sigma_x at d = 2; the caller checks d, i, j."""
+    if i == 0:
+        return np.eye(d, dtype=complex)[j]
+    if d == 2:
+        return _qubit.pauli_eigenbasis("x")[j]
+    return _quadratic_rows(_roots(d), i - 1, j)
 
 
 def outcome_index(d: int, j) -> int:
     """Validated outcome (vector) index j in 0..d-1."""
-    j = int(j)
-    if not 0 <= j < d:
-        raise ValueError(f"outcome index j={j} outside 0..{d - 1}")
-    return j
+    index = int(j)
+    if not 0 <= index < d:
+        if d == 2:  # the qubit pair's message shows j as given
+            raise ValueError(f"outcome index {j} outside 0..1")
+        raise ValueError(f"outcome index j={index} outside 0..{d - 1}")
+    return index
 
 
 def basis_index(d: int, label) -> int:
-    """Position of basis ``label`` in a family: 0 for "z", 1 + k for basis k."""
+    """Position of basis ``label`` in a family: 0 for "z", 1 + k for basis k (0 is sigma_x at d = 2)."""
+    if isinstance(label, str) and label.lower() == Z_LABEL:
+        return 0
+    if d == 2:
+        if int(label) == 0:
+            return 1
+        raise ValueError(f"d=2 supports basis labels 'z' and 0 only (got {label!r})")
     if isinstance(label, str):
-        if label.lower() == Z_LABEL:
-            return 0
         raise ValueError(f"unknown basis label {label!r}; use 'z' or 0..{d - 1}")
     k = int(label)
     if not 0 <= k < d:
@@ -109,7 +137,7 @@ def mub_vector(d: int, k: int, j: int) -> np.ndarray:
     Every amplitude has modulus 1/sqrt(d); the exponent k*l^2 - 2*j*l is
     reduced mod d before the d-th root of unity is looked up.
     """
-    d = check_odd_prime(d)
+    d = _check_dim(d)
     k = _check_basis_index(d, k)
     j = outcome_index(d, j)
     return _quadratic_rows(_roots(d), k, j)
@@ -117,9 +145,9 @@ def mub_vector(d: int, k: int, j: int) -> np.ndarray:
 
 def quadratic_basis(d: int, k: int) -> np.ndarray:
     """All d vectors of quadratic-phase basis k, stacked as rows."""
-    d = check_odd_prime(d)
+    d = _check_dim(d)
     k = _check_basis_index(d, k)
-    return _quadratic_rows(_roots(d), k, np.arange(d)[:, None])
+    return _quadratic_rows(_roots(d), k, np.arange(d))
 
 
 @dataclass(frozen=True)
@@ -154,9 +182,9 @@ def mub_family(d: int) -> MubFamily:
     Filled one basis at a time from one roots table, so temporaries stay
     O(d^2).
     """
-    d = check_odd_prime(d)
+    d = _check_dim(d)
     roots = _roots(d)
-    j = np.arange(d)[:, None]
+    j = np.arange(d)
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d, dtype=complex)
     for k in range(d):

@@ -1,0 +1,161 @@
+"""One owner per decision: the dimension check and d = 2 live in ``mub``, and a
+cycle configuration builds its layout plan once.
+
+These tests pin that an unsupported d is rejected before any O(d^2) work,
+that a configuration's checked plan is built once and never carried stale
+into a copy, that layout members must be integers, and that component i of
+the cycle is the certainty operator of the pair ensemble (z:i, 0:i) byte for
+byte, d = 2 included.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from finecert import cycle
+from finecert.bounds import certainty_operator, mub_pair_ensemble, pauli_pair_ensemble
+from finecert.cli import main
+from finecert.cycle import (
+    CycleConfig,
+    MembraneLayout,
+    chamber_distribution,
+    check_layout,
+    component_states,
+    cycle_config,
+    delta_w,
+    scan_bases,
+    singleton_arguments,
+    work_extraction_w1,
+)
+
+OVERSIZED = "d=1009 exceeds the supported maximum 64"
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of one call of fn, with its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def raises_message(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: scan_bases(1009, 3, 0), lambda: cycle_config(1009)],
+    ids=["scan_bases", "cycle_config"],
+)
+def test_oversized_d_is_rejected_before_any_quadratic_work(call):
+    peak, message = peak_bytes(lambda: raises_message(call))
+    assert message == OVERSIZED
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cycle", "--d", "1009", "--basis", "random"], OVERSIZED),
+        (["cycle", "--d", "4000", "--samples", "5"], "d must be prime (got 4000)"),
+    ],
+)
+def test_cli_cycle_rejects_d_before_building_a_preset(capsys, argv, message):
+    peak, code = peak_bytes(lambda: main(argv))
+    assert code == 3
+    assert capsys.readouterr().err == f"finecert cycle: {message}\n"
+    assert peak < 1 << 20
+
+
+def count_plans(monkeypatch):
+    calls = []
+    build = cycle._layout_plan
+
+    def counting(layout, d):
+        calls.append(layout.name)
+        return build(layout, d)
+
+    monkeypatch.setattr(cycle, "_layout_plan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d, factory", [(61, "finest"), (5, "finest"), (5, "symmetric_preset")])
+def test_config_builds_its_layout_plan_once(monkeypatch, d, factory):
+    calls = count_plans(monkeypatch)
+    layout = getattr(MembraneLayout, factory)(d)
+    cfg = cycle_config(d, layout=layout)
+    assert len(calls) == 1
+    comps = component_states(d)
+    delta_w(cfg)
+    chamber_distribution(cfg, comps)
+    work_extraction_w1(cfg, comps)
+    if layout.singletons is None:
+        with pytest.raises(ValueError, match="designates no singleton"):
+            singleton_arguments(cfg, comps)
+    else:
+        singleton_arguments(cfg, comps)
+    assert len(calls) == 1
+
+
+def test_replaced_layout_gets_its_own_plan():
+    d = 5
+    cfg = cycle_config(d)
+    delta_w(cfg)  # the paper preset's plan is now cached on cfg
+    finest = MembraneLayout.finest(d)
+    replaced = dataclasses.replace(cfg, layout=finest)
+    assert delta_w(replaced).as_dict() == delta_w(cycle_config(d, layout=finest)).as_dict()
+    assert chamber_distribution(replaced, component_states(d)) == chamber_distribution(
+        cycle_config(d, layout=finest), component_states(d)
+    )
+
+
+def test_directly_built_config_checks_its_layout_on_first_use():
+    bad = MembraneLayout("x", (((0, 1),),) * 3)
+    expected = raises_message(lambda: check_layout(bad, 3))
+    cfg = CycleConfig(d=3, priors=np.full(3, 1.0 / 3.0), basis=np.eye(3, dtype=complex), layout=bad)
+    assert raises_message(lambda: delta_w(cfg)) == expected
+    assert raises_message(lambda: chamber_distribution(cfg, component_states(3))) == expected
+
+
+@pytest.mark.parametrize(
+    "layout, value",
+    [
+        (MembraneLayout("x", (((0.5, 1, 2.9),),) * 3), 0.5),
+        (MembraneLayout("x", (((0, 1), (2.0,)),) * 3), 2.0),
+        (MembraneLayout("x", (((0, 1), ("2",)),) * 3), "2"),
+        (MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(2.7, 2, 2)), 2.7),
+        (MembraneLayout("x", (((0, 1), (2,)),) * 3, singletons=(2, np.float64(2.0), 2)), np.float64(2.0)),
+    ],
+)
+def test_layout_members_must_be_integers(layout, value):
+    assert raises_message(lambda: check_layout(layout, 3)) == f"layout member {value!r} is not an integer"
+
+
+def test_layout_accepts_numpy_integers():
+    d = 5
+    plain = MembraneLayout.symmetric_preset(d)
+    as_numpy = MembraneLayout(
+        "symmetric",
+        tuple(tuple(np.array(g, dtype=np.int64) for g in groups) for groups in plain.groups),
+        tuple(np.int32(s) for s in plain.singletons),
+    )
+    a, b = cycle._layout_plan(plain, d), cycle._layout_plan(as_numpy, d)
+    assert a.chambers == b.chambers
+    for field in ("members", "starts", "filled", "singletons"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
+def test_component_is_the_pair_certainty_operator(d):
+    for i, rho in enumerate(component_states(d)):
+        op = certainty_operator(mub_pair_ensemble(d, "z", 0, i, i))
+        assert rho.tobytes() == op.tobytes()
+        if d == 2:
+            assert rho.tobytes() == certainty_operator(pauli_pair_ensemble("z", "x", (i, i))).tobytes()
