@@ -537,14 +537,13 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
     """One Haar-random basis (rows) per generator, stacked as (n, d, d).
 
     Each generator draws the real then the imaginary Gaussian part of its own
-    matrix in one call; one stacked QR follows, with the R-diagonal phases
-    folded back in.
+    matrix in one call; the complex stack is formed once, and one stacked QR
+    follows, with the R-diagonal phases folded back in.
     """
-    z = np.empty((len(rngs), d, d), dtype=complex)
+    g = np.empty((len(rngs), 2, d, d))
     for k, rng in enumerate(rngs):
-        g = rng.standard_normal((2, d, d))
-        z[k] = g[0] + 1j * g[1]
-    q, r = np.linalg.qr(z)
+        g[k] = rng.standard_normal((2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     bases = (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
@@ -609,14 +608,133 @@ class ScanReport:
         }
 
 
+# ------------------------------------------------------------ per-sample substreams
+#
+# Sample i of a scan with seed s draws from
+# default_rng(SeedSequence(s).spawn(n)[i]). That child's pool is seeded with
+# the words of s (padded to four, as a spawn key is present) followed by the
+# key word i, and all of SeedSequence's hash constants run independently of
+# the data, so only two steps of the child depend on i: mixing in the key
+# word, and the eight hashes of generate_state(4, uint64) that PCG64 seeds
+# from. ``_spawn_prefix`` runs the shared steps once per seed in Python ints;
+# ``_child_states`` runs the other two for a whole range of children as uint32
+# array operations, which wrap modulo 2**32 as SeedSequence's C code does.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
+    """start, start*mult, ..., start*mult**count modulo 2**32."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+#: generate_state's constants for its eight words: the XOR before and the multiplier after.
+_STATE_HASH = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+_STATE_POOL_WORD = np.arange(2 * _POOL_WORDS) % _POOL_WORDS
+
+
+def _spawn_prefix(seed: int) -> tuple:
+    """What every spawned child of ``seed`` shares, as uint32 arrays: its pool
+    scaled by the mix multiplier, (4,), and the hash constants of the four
+    key-word hashes, (5,). Runs the seed words through SeedSequence's mixing."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_WORDS - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    scaled_pool = np.array([_MIX_MULT_L * p & _MASK32 for p in pool], dtype=np.uint32)
+    return scaled_pool, _hash_chain(hash_const, _MULT_A, _POOL_WORDS)
+
+
+def _child_states(prefix: tuple, first: int, count: int) -> np.ndarray:
+    """PCG64 seed words of children first..first+count-1, shape (count, 4) uint64:
+    row k equals ``SeedSequence(seed).spawn(first + count)[first + k]
+    .generate_state(4, np.uint64)``. Keys must fit one uint32 word."""
+    scaled_pool, h = prefix
+    keys = np.arange(first, first + count, dtype=np.uint32)
+    hashed = (keys[:, None] ^ h[:-1]) * h[1:]
+    hashed ^= hashed >> np.uint32(16)
+    pool = scaled_pool - np.uint32(_MIX_MULT_R) * hashed
+    pool ^= pool >> np.uint32(16)
+    state = (pool[:, _STATE_POOL_WORD] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    state ^= state >> np.uint32(16)
+    # generate_state pairs its words little-endian into uint64
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _child_seed_type() -> type:
+    """The seed type PCG64 takes in place of a spawned SeedSequence: it holds
+    one row of ``_child_states``. Built on first use, so that importing the
+    package does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChildSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_WORDS or dtype is not np.uint64:
+                raise ValueError("a derived child seed holds exactly four uint64 words")
+            return self.words
+
+    return ChildSeed
+
+
 #: Membrane-basis storage per scan chunk. A scan evaluates its samples in
 #: chunks of this many bytes of d x d complex bases, so its working memory
 #: does not grow with the number of samples.
 SCAN_CHUNK_BYTES = 1 << 20
 
 
+#: Most samples one scan draws. It bounds a scan's result arrays and keeps
+#: every substream's spawn key to one uint32 word.
+MAX_SCAN_SAMPLES = 10**6
+
+
 def _chunk_samples(d: int) -> int:
     return max(1, SCAN_CHUNK_BYTES // (16 * d * d))
+
+
+def _scan_seed(seed) -> int:
+    """A scan seed: an int or a numpy integer, never negative."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer (got {seed!r})")
+    return value
 
 
 def _histogram(values: np.ndarray, bins: int = 20):
@@ -639,20 +757,26 @@ def scan_bases(
 ) -> ScanReport:
     """Evaluate the cycle on seeded Haar-random membrane bases.
 
-    Deterministic for a given seed: each sample uses its own substream spawned
-    from the seed, so the report does not depend on evaluation order. Samples
-    run through the batched kernel in chunks of ``SCAN_CHUNK_BYTES``; spawning
-    is cumulative, so chunking leaves every sample's substream unchanged.
+    Deterministic for a given seed (a non-negative integer): sample i draws
+    from ``default_rng(SeedSequence(seed).spawn(n_samples)[i])``, so the
+    report does not depend on evaluation order. Those substreams are derived
+    bit for bit, a chunk at a time in one vectorized pass, without building
+    the spawned SeedSequences. Samples run through the batched kernel in
+    chunks of ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
+    if n_samples > MAX_SCAN_SAMPLES:
+        raise ValueError(f"n_samples={n_samples} exceeds the supported maximum {MAX_SCAN_SAMPLES}")
+    seed = _scan_seed(seed)
     d = _check_d(d)
     layout = MembraneLayout.paper_preset(d) if layout is None else layout
     cycle = _prepare_cycle(d, _uniform_parts(d), _layout_plan(layout, d))
     zeta = cycle.zeta
 
-    seq = np.random.SeedSequence(seed)
+    prefix = _spawn_prefix(seed)
+    child_seed = _child_seed_type()
     chunk = _chunk_samples(d)
     deltas = np.empty(n_samples)
     residual_max = 0.0
@@ -661,9 +785,10 @@ def scan_bases(
     outside = []
     in_window_max = None
     for start in range(0, n_samples, chunk):
-        streams = seq.spawn(min(chunk, n_samples - start))
-        batch = _cycle_kernel(cycle, _haar_bases(d, [np.random.default_rng(s) for s in streams]))
-        deltas[start : start + len(streams)] = batch.delta_w
+        states = _child_states(prefix, start, min(chunk, n_samples - start))
+        rngs = [np.random.Generator(np.random.PCG64(child_seed(words))) for words in states]
+        batch = _cycle_kernel(cycle, _haar_bases(d, rngs))
+        deltas[start : start + len(rngs)] = batch.delta_w
         if batch.residual is not None:
             residual_max = max(residual_max, float(batch.residual.max()))
         if batch.in_window is not None:
@@ -678,7 +803,7 @@ def scan_bases(
     counts, edges = _histogram(deltas)
     return ScanReport(
         d=d,
-        seed=int(seed),
+        seed=seed,
         n_samples=n_samples,
         layout_name=layout.name,
         zeta=zeta,

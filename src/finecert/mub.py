@@ -39,18 +39,39 @@ MAX_MUB_DIM = 64
 Z_LABEL = "z"
 
 
+#: Miller-Rabin bases: the first thirteen primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Primality by Miller-Rabin with the first thirteen prime bases.
+
+    The test is exact for n < 3,317,044,064,679,887,385,961,981 (about
+    3.3e24), the smallest strong pseudoprime to all thirteen bases; the
+    first twelve alone stop at about 3.2e23. Above that bound a True means
+    "strong probable prime". Each call takes O(log n) modular
+    multiplications, so a huge dimension is checked at once.
+    """
     n = int(n)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,0 +1,231 @@
+"""A scan's per-sample substreams, derived in bulk, and the checks before a scan.
+
+``scan_bases`` derives the PCG64 seed words of sample i without building
+``SeedSequence(seed).spawn(n)[i]``. These tests pin those words to numpy's
+own for any seed and any range of children, pin the membrane bases a cold
+scan draws to ``haar_random_basis`` fed from numpy's spawned generators, and
+check that a bad sample count, a bad seed or a huge prime dimension is
+rejected before any work.
+"""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finecert import cycle
+from finecert.cli import main
+from finecert.cycle import (
+    MAX_SCAN_SAMPLES,
+    MembraneLayout,
+    cycle_config,
+    delta_w,
+    haar_random_basis,
+    scan_bases,
+)
+from finecert.mub import _check_dim, is_prime
+
+TOL = 1e-12
+MERSENNE_61 = 2**61 - 1
+
+
+def numpy_child_states(seed, first, count):
+    children = np.random.SeedSequence(seed).spawn(first + count)[first:]
+    return np.array([s.generate_state(4, np.uint64) for s in children], dtype=np.uint64).reshape(count, 4)
+
+
+# ---------------------------------------------------------------- substreams
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**200), first=st.integers(0, 300), count=st.integers(1, 40))
+def test_child_states_equal_spawned_seed_sequences(seed, first, count):
+    got = cycle._child_states(cycle._spawn_prefix(seed), first, count)
+    assert got.dtype == np.uint64 and got.shape == (count, 4)
+    assert np.array_equal(got, numpy_child_states(seed, first, count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**128 + 7, 3**100])
+def test_child_states_at_word_boundaries(seed):
+    prefix = cycle._spawn_prefix(seed)
+    whole = cycle._child_states(prefix, 0, 70)
+    assert np.array_equal(whole, numpy_child_states(seed, 0, 70))
+    split = np.concatenate([cycle._child_states(prefix, 0, 33), cycle._child_states(prefix, 33, 37)])
+    assert np.array_equal(split, whole)
+
+
+def test_child_seed_draws_as_default_rng():
+    words = cycle._child_states(cycle._spawn_prefix(5), 0, 3)[2]
+    derived = np.random.Generator(np.random.PCG64(cycle._child_seed_type()(words)))
+    spawned = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
+    assert np.array_equal(derived.standard_normal(100), spawned.standard_normal(100))
+    assert derived.bit_generator.state == spawned.bit_generator.state
+
+
+def test_child_seed_holds_only_pcg64_words():
+    seed = cycle._child_seed_type()(cycle._child_states(cycle._spawn_prefix(5), 0, 1)[0])
+    with pytest.raises(ValueError, match="four uint64 words"):
+        seed.generate_state(8, np.uint64)
+    with pytest.raises(ValueError, match="four uint64 words"):
+        seed.generate_state(4, np.uint32)
+
+
+def scan_with_bases(monkeypatch, d, n, seed, layout):
+    """A cold scan, with every stack of membrane bases it evaluates."""
+    stacks = []
+    kernel = cycle._cycle_kernel
+
+    def spy(cyc, bases):
+        stacks.append(bases.copy())
+        return kernel(cyc, bases)
+
+    cycle._uniform_parts.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cycle, "_cycle_kernel", spy)
+        report = scan_bases(d, n, seed, layout=layout, keep_samples=True)
+    return report, stacks
+
+
+@pytest.mark.parametrize(
+    "d, n, seed, factory",
+    [
+        (2, 40, 3, "paper_preset"),
+        (3, 64, 2**40 + 1, "symmetric_preset"),
+        (3, 50, 0, "finest"),
+        (31, 3, 7, "paper_preset"),
+        (31, cycle._chunk_samples(31) + 2, 2**70, "symmetric_preset"),
+    ],
+)
+def test_cold_scan_equals_numpy_spawned_reference(monkeypatch, d, n, seed, factory):
+    layout = getattr(MembraneLayout, factory)(d)
+    report, stacks = scan_with_bases(monkeypatch, d, n, seed, layout)
+    assert len(stacks) == -(-n // cycle._chunk_samples(d))
+    streams = np.random.SeedSequence(seed).spawn(n)
+    reference = [haar_random_basis(d, np.random.default_rng(s)) for s in streams]
+    assert np.array_equal(np.concatenate(stacks), np.stack(reference))
+    singles = [delta_w(cycle_config(d, basis=basis, layout=layout)) for basis in reference]
+    np.testing.assert_allclose(report.per_sample_delta_w, [r.delta_w for r in singles], rtol=0.0, atol=TOL)
+    if layout.singletons is not None:
+        assert report.outside_window_indices == tuple(k for k, r in enumerate(singles) if not r.in_window)
+    assert report.seed == seed and type(report.seed) is int
+
+
+def test_numpy_integer_seed_gives_the_int_seed_report():
+    assert scan_bases(3, 5, np.uint64(9), keep_samples=True) == scan_bases(3, 5, 9, keep_samples=True)
+
+
+# ---------------------------------------------------------------- scan arguments
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_cap_is_checked_before_any_allocation():
+    message = f"n_samples=1000000000000 exceeds the supported maximum {MAX_SCAN_SAMPLES}"
+
+    def call():
+        with pytest.raises(ValueError, match=message):
+            scan_bases(3, 10**12, 0)
+
+    assert peak_bytes(call) < 1 << 20
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        scan_bases(3, MAX_SCAN_SAMPLES + 1, 0)
+
+
+@pytest.mark.parametrize("seed", [None, -1, -(2**70), 1.5, 2.0, "3", [1, 2]])
+def test_bad_seed_is_rejected_before_any_sample(monkeypatch, seed):
+    def no_bases(d, rngs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cycle, "_haar_bases", no_bases)
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer \(got "):
+        scan_bases(3, 4, seed)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "1000000000000"], "n_samples=1000000000000 exceeds the supported maximum 1000000"),
+        (["--samples", "4", "--seed", "-1"], "seed must be a non-negative integer (got -1)"),
+    ],
+)
+def test_cli_scan_rejects_bad_samples_and_seed(capsys, argv, message):
+    assert main(["cycle", "--d", "3", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"finecert cycle: {message}\n"
+
+
+# ---------------------------------------------------------------- primality
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_equals_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the first nine prime bases
+        318665857834031151167461,  # strong pseudoprime to the first twelve prime bases
+        MERSENNE_61 * (2**31 - 1),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [MERSENNE_61, 2**89 - 1, 2**107 - 1, 1000000007])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def expected_dim_message(d, qubit, not_prime):
+    if not trial_division(d) or (d == 2 and not qubit):
+        return not_prime.format(d)
+    if d > 64:
+        return f"d={d} exceeds the supported maximum 64"
+    return None
+
+
+@pytest.mark.parametrize("qubit", [False, True])
+def test_dimension_messages_unchanged(qubit):
+    not_prime = "d must be prime (got {})"
+    for d in range(-5, 400):
+        want = expected_dim_message(d, qubit, not_prime)
+        if want is None:
+            assert _check_dim(d, qubit=qubit, not_prime=not_prime) == d
+        else:
+            with pytest.raises(ValueError) as info:
+                _check_dim(d, qubit=qubit, not_prime=not_prime)
+            assert str(info.value) == want
+
+
+@pytest.mark.parametrize("command", [["mub", str(MERSENNE_61)], ["cycle", "--d", str(MERSENNE_61)]])
+def test_cli_rejects_a_huge_prime_dimension_at_once(capsys, command):
+    start = time.perf_counter()
+    assert main(command) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"finecert {command[0]}: d={MERSENNE_61} exceeds the supported maximum 64\n"
