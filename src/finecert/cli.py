@@ -6,9 +6,10 @@ produce byte-identical output. Complex amplitudes are emitted as [re, im]
 pairs. Float and complex arrays are rendered in bulk, with the bytes of the
 element-by-element path: one finiteness check per array, and each distinct
 value formatted once. A MUB family holds about d + 2 distinct amplitudes, so
-`mub 61 --verify` (a 10 MB payload) takes about 0.5 s of wall time
-single-threaded, most of it interpreter start and the verification. Payloads
-go to stdout, diagnostics to stderr.
+`mub 61 --verify` (a 10 MB payload) takes about 0.55 s of wall time
+single-threaded, most of it interpreter start, import and rendering; the
+verification takes about 0.1 s of it. Payloads go to stdout, diagnostics to
+stderr.
 
 Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
 conflicting flags), 3 for invalid parameter values or configurations.
@@ -262,7 +263,7 @@ def _cmd_cycle(args) -> dict:
     if args.basis == "computational":
         basis = None
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+        rng = np.random.default_rng(np.random.SeedSequence(_cycle._scan_seed(args.seed)))
         basis = _cycle.haar_random_basis(args.d, rng)
     cfg = _cycle.cycle_config(args.d, priors=priors, basis=basis, layout=layout)
     report = _cycle.delta_w(cfg, counterfactual_zeta=args.counterfactual_zeta)

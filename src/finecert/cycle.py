@@ -245,6 +245,21 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
     return _LayoutPlan(tuple(chambers), members, starts, sizes > 0, singles)
 
 
+@functools.lru_cache(maxsize=None)
+def _paper_plan(d: int) -> tuple:
+    """The paper preset at a checked d and its plan: a scan's default layout.
+
+    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` pass the check, so
+    the memo holds at most 18 entries; its arrays are read-only and the
+    layout is frozen.
+    """
+    layout = MembraneLayout.paper_preset(d)
+    plan = _layout_plan(layout, d)
+    for array in (plan.members, plan.starts, plan.filled, plan.singletons):
+        array.setflags(write=False)
+    return layout, plan
+
+
 def _component_stack(components, d: int) -> np.ndarray:
     if len(components) != d:
         raise ValueError(f"need {d} component states, got {len(components)}")
@@ -762,17 +777,23 @@ def scan_bases(
     report does not depend on evaluation order. Those substreams are derived
     bit for bit, a chunk at a time in one vectorized pass, without building
     the spawned SeedSequences. Samples run through the batched kernel in
-    chunks of ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn.
+    chunks of ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn,
+    and their count must be an integer. The default layout, the paper
+    preset, is built and checked once per d; a layout the caller passes is
+    checked on each call.
     """
-    n_samples = int(n_samples)
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer (got {n_samples!r})") from None
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
     if n_samples > MAX_SCAN_SAMPLES:
         raise ValueError(f"n_samples={n_samples} exceeds the supported maximum {MAX_SCAN_SAMPLES}")
     seed = _scan_seed(seed)
     d = _check_d(d)
-    layout = MembraneLayout.paper_preset(d) if layout is None else layout
-    cycle = _prepare_cycle(d, _uniform_parts(d), _layout_plan(layout, d))
+    layout, plan = _paper_plan(d) if layout is None else (layout, _layout_plan(layout, d))
+    cycle = _prepare_cycle(d, _uniform_parts(d), plan)
     zeta = cycle.zeta
 
     prefix = _spawn_prefix(seed)

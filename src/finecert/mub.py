@@ -239,6 +239,20 @@ class MubVerification:
         }
 
 
+#: Size of each of ``verify_mub``'s block buffers: its products, their
+#: conjugated factors and their deviations are held a block of bases at a time.
+_VERIFY_BLOCK_BYTES = 256 * 1024
+
+
+def _last_worst(maxima: np.ndarray):
+    """Flat index of the entry that a scan keeping each value >= the worst so
+    far (from 0) ends on: the last entry equal to the largest value. NaN
+    entries never win; None if every entry is NaN or negative."""
+    top = np.fmax.reduce(maxima, axis=None, initial=0.0)
+    hits = np.flatnonzero(maxima == top)
+    return int(hits[-1]) if hits.size else None
+
+
 def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     """Check every within-basis Gram entry and every cross-basis overlap.
 
@@ -246,6 +260,16 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol. A family
     whose bases are not a (d+1, d, d) array of finite entries is rejected, and
     so is a negative tolerance, which no family could meet.
+
+    The bases are taken a block at a time: one stacked product gives the Gram
+    matrices of a block, and each basis meets a block of later bases in one
+    more, which runs the same d x d x d GEMM per pair as a product of two
+    bases alone, so every deviation has the bits of the pair-by-pair scan.
+    The deviations are formed in place in buffers of at most
+    ``_VERIFY_BLOCK_BYTES`` each, so memory beyond the family stays
+    O(block). The reported worst entry is the first largest one, in row-major
+    order, of the last basis (or pair of bases, in (b, b') order) whose
+    largest deviation ties the overall maximum.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
@@ -259,27 +283,66 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
         raise ValueError("family bases contain NaN or Inf entries")
     labels = family.labels
     n_bases = d + 1
+    bases = np.asarray(family.bases)
+    work = np.result_type(bases, 1.0)  # the dtype of every product
+    bases = bases.astype(work, copy=False)
+    block = min(n_bases, max(1, _VERIFY_BLOCK_BYTES // max(1, d * d * work.itemsize)))
+    conj = np.empty((block, d, d), dtype=work) if work.kind == "c" else None
+    prod = np.empty((block, d, d), dtype=work)
+    dev = np.empty((block, d * d), dtype=np.finfo(work).dtype)
+
+    def conjugated(start, stop):  # as ndarray.conj(), which returns a real array itself
+        part = bases[start:stop]
+        return part if conj is None else np.conjugate(part, out=conj[: stop - start])
+
+    eye = np.eye(d)
+    orth_max = np.empty(n_bases)  # gram - eye is promoted to the float64 eye
+    orth_arg = np.empty(n_bases, dtype=np.intp)
+    for start in range(0, n_bases, block):
+        stop = min(start + block, n_bases)
+        gram = np.matmul(
+            bases[start:stop],
+            conjugated(start, stop).swapaxes(-1, -2),
+            out=prod[: stop - start],
+        )
+        gram_dev = np.abs(gram - eye).reshape(stop - start, d * d)
+        orth_arg[start:stop] = gram_dev.argmax(axis=1)
+        orth_max[start:stop] = gram_dev.max(axis=1)
+
+    # entry (b1, b2) of each table is pair b1 < b2; the rest stay -1, which never wins
+    unb_max = np.full((n_bases, n_bases), -1.0, dtype=dev.dtype)
+    unb_arg = np.zeros((n_bases, n_bases), dtype=np.intp)
+    for start in range(1, n_bases, block):
+        stop = min(start + block, n_bases)
+        later = conjugated(start, stop).swapaxes(-1, -2)
+        for b1 in range(stop - 1):
+            first = max(start, b1 + 1)
+            count = stop - first
+            out = prod[:count]
+            np.matmul(bases[b1], later[first - start :], out=out)
+            pair_dev = dev[:count]
+            np.abs(out.reshape(count, d * d), out=pair_dev)
+            np.square(pair_dev, out=pair_dev)
+            np.subtract(pair_dev, 1.0 / d, out=pair_dev)
+            np.abs(pair_dev, out=pair_dev)
+            unb_arg[b1, first:stop] = pair_dev.argmax(axis=1)
+            unb_max[b1, first:stop] = pair_dev.max(axis=1)
 
     worst_orth = 0.0
     worst_orth_at = (labels[0], 0, 0)
-    for b in range(n_bases):
-        gram = family.bases[b] @ family.bases[b].conj().T
-        dev = np.abs(gram - np.eye(d))
-        idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if float(dev[idx]) >= worst_orth:
-            worst_orth = float(dev[idx])
-            worst_orth_at = (labels[b], int(idx[0]), int(idx[1]))
+    b = _last_worst(orth_max)
+    if b is not None:
+        worst_orth = float(orth_max[b])
+        worst_orth_at = (labels[b], *divmod(int(orth_arg[b]), d))
 
     worst_unb = 0.0
     worst_unb_at = ((labels[0], 0), (labels[1], 0))
-    for b1 in range(n_bases):
-        for b2 in range(b1 + 1, n_bases):
-            overlap_sq = np.abs(family.bases[b1] @ family.bases[b2].conj().T) ** 2
-            dev = np.abs(overlap_sq - 1.0 / d)
-            idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            if float(dev[idx]) >= worst_unb:
-                worst_unb = float(dev[idx])
-                worst_unb_at = ((labels[b1], int(idx[0])), (labels[b2], int(idx[1])))
+    pair = _last_worst(unb_max)
+    if pair is not None:
+        b1, b2 = divmod(pair, n_bases)
+        j1, j2 = divmod(int(unb_arg[b1, b2]), d)
+        worst_unb = float(unb_max[b1, b2])
+        worst_unb_at = ((labels[b1], j1), (labels[b2], j2))
 
     return MubVerification(
         d=d,

@@ -196,3 +196,13 @@ def test_mub_negative_tolerance_is_invalid_parameter(capsys):
     assert out == ""
     assert "non-negative" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["1", "4"])
+def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "cycle", "--d", "3", "--basis", "random", "--seed", "-1", "--samples", samples
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "finecert cycle: seed must be a non-negative integer (got -1)\n"

@@ -179,3 +179,54 @@ def test_layout_plan_unchanged(d, factory):
     assert plan.members.dtype == np.intp and plan.starts.dtype == np.intp
     assert plan.filled.dtype == bool
     assert plan.singletons is None or plan.singletons.dtype == np.array([0]).dtype
+
+
+@pytest.mark.parametrize("d", [2, 3, 31])
+def test_paper_plan_memo_equals_a_fresh_plan_and_is_read_only(d):
+    layout, plan = cycle._paper_plan(d)
+    assert layout == MembraneLayout.paper_preset(d)
+    fresh = cycle._layout_plan(layout, d)
+    assert plan.chambers == fresh.chambers
+    for got, want in [
+        (plan.members, fresh.members),
+        (plan.starts, fresh.starts),
+        (plan.filled, fresh.filled),
+        (plan.singletons, fresh.singletons),
+    ]:
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert not got.flags.writeable
+    assert cycle._paper_plan(d)[1] is plan
+
+
+def test_default_layout_scans_reuse_the_plan(monkeypatch):
+    cycle._paper_plan.cache_clear()
+    default = scan_bases(5, 6, 3, keep_samples=True)
+
+    def no_plan(layout, d):
+        raise AssertionError("the default layout was planned again")
+
+    monkeypatch.setattr(cycle, "_layout_plan", no_plan)
+    assert scan_bases(5, 6, 3, keep_samples=True) == default
+    assert cycle._paper_plan.cache_info().currsize == 1
+
+
+def test_given_layouts_are_checked_on_every_call(monkeypatch):
+    cycle._paper_plan(3)
+    calls = []
+    plan = cycle._layout_plan
+
+    def counted_plan(layout, d):
+        calls.append(layout)
+        return plan(layout, d)
+
+    monkeypatch.setattr(cycle, "_layout_plan", counted_plan)
+    paper = MembraneLayout.paper_preset(3)
+    assert scan_bases(3, 4, 1, layout=paper) == scan_bases(3, 4, 1)
+    memo = cycle._paper_plan(3)[0]
+    assert scan_bases(3, 4, 1, layout=memo) == scan_bases(3, 4, 1)
+    listed = MembraneLayout("paper", [[list(g) for g in groups] for groups in paper.groups])
+    assert scan_bases(3, 4, 1, layout=listed).delta_w_mean == scan_bases(3, 4, 1).delta_w_mean
+    floats = MembraneLayout("paper", tuple(((1.0, 2.0), (0.0,)) for _ in range(3)))
+    with pytest.raises(ValueError, match="layout member 1.0 is not an integer"):
+        scan_bases(3, 4, 1, layout=floats)
+    assert [id(layout) for layout in calls] == [id(paper), id(memo), id(listed), id(floats)]

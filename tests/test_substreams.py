@@ -151,6 +151,23 @@ def test_bad_seed_is_rejected_before_any_sample(monkeypatch, seed):
         scan_bases(3, 4, seed)
 
 
+@pytest.mark.parametrize("n_samples", [2.9, 3.0, "3", None])
+def test_non_integer_sample_count_is_rejected_not_truncated(monkeypatch, n_samples):
+    def no_bases(d, rngs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cycle, "_haar_bases", no_bases)
+    with pytest.raises(ValueError) as info:
+        scan_bases(3, n_samples, 0)
+    assert str(info.value) == f"n_samples must be an integer (got {n_samples!r})"
+
+
+def test_numpy_integer_sample_count_gives_the_int_count_report():
+    report = scan_bases(3, np.int64(5), 9, keep_samples=True)
+    assert report == scan_bases(3, 5, 9, keep_samples=True)
+    assert type(report.n_samples) is int
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
