@@ -163,16 +163,7 @@ def hyperspherical_state(x, phi) -> np.ndarray:
         raise ValueError("moduli angles must lie in [0, pi/2]")
     if not (np.all(phi >= 0.0) and np.all(phi < 2.0 * np.pi)):
         raise ValueError("phases must lie in [0, 2 pi)")
-    d = x.size + 1
-    amps = np.empty(d, dtype=complex)
-    amps[0] = np.cos(x[0])
-    running = 1.0
-    for m in range(1, d - 1):
-        running *= np.sin(x[m - 1])
-        amps[m] = running * np.cos(x[m]) * np.exp(1j * phi[m - 1])
-    running *= np.sin(x[d - 2])
-    amps[d - 1] = running * np.exp(1j * phi[d - 2])
-    return amps
+    return _grid_amplitudes(x[:, None], phi[:, None], x.size + 1)[0]
 
 
 @dataclass(frozen=True)

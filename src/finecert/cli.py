@@ -138,6 +138,27 @@ def _cmd_mub(args) -> dict:
     return _result("mub", parameters, payload, "construction")
 
 
+def _outcomes(args, count: int, message: str) -> tuple:
+    outcomes = tuple(args.outcomes) if args.outcomes else (0,) * count
+    if len(outcomes) != count:
+        raise ValueError(message)
+    return outcomes
+
+
+def _spectral_result(parameters: dict, ensemble, closed_form: float, bloch: bool) -> dict:
+    bound = _bounds.zeta_spectral(ensemble)
+    payload = {
+        "zeta": bound.zeta,
+        "closed_form": closed_form,
+        "gap": bound.gap,
+        "degenerate": bound.degenerate,
+        "maximizer": bound.maximizer,
+    }
+    if bloch:
+        payload["maximizer_bloch"] = list(_qubit.state_to_bloch(bound.maximizer))
+    return _result("bound", parameters, payload, "spectral; closed-form cross-check")
+
+
 def _cmd_bound(args) -> dict:
     if args.gamma is not None:
         zeta = _qubit.pair_bound(args.gamma)
@@ -148,64 +169,35 @@ def _cmd_bound(args) -> dict:
         }
         return _result("bound", {"mode": "gamma", "gamma": args.gamma}, payload, "closed-form")
 
+    # each ensemble is built (and validated) before its closed form
     if args.pauli_triple:
-        outcomes = tuple(args.outcomes) if args.outcomes else (0, 0, 0)
-        if len(outcomes) != 3:
-            raise ValueError("--pauli-triple takes exactly three outcomes")
-        bound = _bounds.zeta_spectral(_bounds.pauli_triple_ensemble(outcomes))
-        closed = _qubit.triple_pauli_bound()
-        payload = {
-            "zeta": bound.zeta,
-            "closed_form": closed.zeta,
-            "gap": bound.gap,
-            "degenerate": bound.degenerate,
-            "maximizer": bound.maximizer,
-            "maximizer_bloch": list(_qubit.state_to_bloch(bound.maximizer)),
-        }
-        parameters = {"mode": "pauli-triple", "outcomes": list(outcomes)}
-        return _result("bound", parameters, payload, "spectral; closed-form cross-check")
+        outcomes = _outcomes(args, 3, "--pauli-triple takes exactly three outcomes")
+        return _spectral_result(
+            {"mode": "pauli-triple", "outcomes": list(outcomes)},
+            _bounds.pauli_triple_ensemble(outcomes),
+            _qubit.triple_pauli_bound().zeta,
+            bloch=True,
+        )
 
     if args.pauli_pair is not None:
         axis1, axis2 = args.pauli_pair
-        outcomes = tuple(args.outcomes) if args.outcomes else (0, 0)
-        if len(outcomes) != 2:
-            raise ValueError("--pauli-pair takes exactly two outcomes")
-        bound = _bounds.zeta_spectral(_bounds.pauli_pair_ensemble(axis1, axis2, outcomes))
-        payload = {
-            "zeta": bound.zeta,
-            "closed_form": _bounds.mub_pair_bound(2),
-            "gap": bound.gap,
-            "degenerate": bound.degenerate,
-            "maximizer": bound.maximizer,
-            "maximizer_bloch": list(_qubit.state_to_bloch(bound.maximizer)),
-        }
-        parameters = {
-            "mode": "pauli-pair",
-            "axes": [axis1, axis2],
-            "outcomes": list(outcomes),
-        }
-        return _result("bound", parameters, payload, "spectral; closed-form cross-check")
+        outcomes = _outcomes(args, 2, "--pauli-pair takes exactly two outcomes")
+        return _spectral_result(
+            {"mode": "pauli-pair", "axes": [axis1, axis2], "outcomes": list(outcomes)},
+            _bounds.pauli_pair_ensemble(axis1, axis2, outcomes),
+            _bounds.mub_pair_bound(2),
+            bloch=True,
+        )
 
     # --d mode
     k1, k2 = (_parse_basis_label(t) for t in (args.bases or ["z", "0"]))
-    outcomes = tuple(args.outcomes) if args.outcomes else (0, 0)
-    if len(outcomes) != 2:
-        raise ValueError("--d mode takes exactly two outcomes")
-    bound = _bounds.zeta_spectral(_bounds.mub_pair_ensemble(args.d, k1, k2, *outcomes))
-    payload = {
-        "zeta": bound.zeta,
-        "closed_form": _bounds.mub_pair_bound(args.d),
-        "gap": bound.gap,
-        "degenerate": bound.degenerate,
-        "maximizer": bound.maximizer,
-    }
-    parameters = {
-        "mode": "mub-pair",
-        "d": args.d,
-        "bases": [str(k1), str(k2)],
-        "outcomes": list(outcomes),
-    }
-    return _result("bound", parameters, payload, "spectral; closed-form cross-check")
+    outcomes = _outcomes(args, 2, "--d mode takes exactly two outcomes")
+    return _spectral_result(
+        {"mode": "mub-pair", "d": args.d, "bases": [str(k1), str(k2)], "outcomes": list(outcomes)},
+        _bounds.mub_pair_ensemble(args.d, k1, k2, *outcomes),
+        _bounds.mub_pair_bound(args.d),
+        bloch=False,
+    )
 
 
 def _cmd_scan_alpha(args):

@@ -447,7 +447,7 @@ def work_extraction_w1(cfg: CycleConfig, components) -> float:
 def work_retrieval_w2(cfg: CycleConfig, components) -> float:
     """Work required by the reversible return path:
     S(average state) - sum_i p_i S(rho_i), in bits."""
-    return _w2(cfg.priors, components)
+    return _w2(cfg.priors, _component_stack(components, cfg.d))
 
 
 def singleton_arguments(cfg: CycleConfig, components) -> np.ndarray:
@@ -626,14 +626,15 @@ class ScanReport:
 # ------------------------------------------------------------ per-sample substreams
 #
 # Sample i of a scan with seed s draws from
-# default_rng(SeedSequence(s).spawn(n)[i]). That child's pool is seeded with
-# the words of s (padded to four, as a spawn key is present) followed by the
-# key word i, and all of SeedSequence's hash constants run independently of
-# the data, so only two steps of the child depend on i: mixing in the key
-# word, and the eight hashes of generate_state(4, uint64) that PCG64 seeds
-# from. ``_spawn_prefix`` runs the shared steps once per seed in Python ints;
-# ``_child_states`` runs the other two for a whole range of children as uint32
-# array operations, which wrap modulo 2**32 as SeedSequence's C code does.
+# default_rng(SeedSequence(s).spawn(n)[i]). That child mixes the words of s
+# (padded to four, as a spawn key is present) before its key word i, so its
+# pool at that point is the pool of SeedSequence(s), and all of SeedSequence's
+# hash constants run independently of the data. Only two steps of the child
+# depend on i: mixing in the key word, and the eight hashes of
+# generate_state(4, uint64) that PCG64 seeds from. ``_spawn_prefix`` takes the
+# shared pool from numpy once per seed; ``_child_states`` runs the other two
+# for a whole range of children as uint32 array operations, which wrap modulo
+# 2**32 as SeedSequence's C code does.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_WORDS = 4
@@ -658,37 +659,11 @@ _STATE_POOL_WORD = np.arange(2 * _POOL_WORDS) % _POOL_WORDS
 def _spawn_prefix(seed: int) -> tuple:
     """What every spawned child of ``seed`` shares, as uint32 arrays: its pool
     scaled by the mix multiplier, (4,), and the hash constants of the four
-    key-word hashes, (5,). Runs the seed words through SeedSequence's mixing."""
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_WORDS - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    scaled_pool = np.array([_MIX_MULT_L * p & _MASK32 for p in pool], dtype=np.uint32)
-    return scaled_pool, _hash_chain(hash_const, _MULT_A, _POOL_WORDS)
+    key-word hashes, (5,). The pool is numpy's ``SeedSequence(seed).pool``;
+    mixing the seed's words took 16 hashes, plus 4 per word beyond the fourth."""
+    hashes = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - _POOL_WORDS)
+    scaled_pool = np.random.SeedSequence(seed).pool * np.uint32(_MIX_MULT_L)
+    return scaled_pool, _hash_chain(_INIT_A, _MULT_A, hashes + _POOL_WORDS)[hashes:]
 
 
 def _child_states(prefix: tuple, first: int, count: int) -> np.ndarray:

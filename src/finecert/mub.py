@@ -257,7 +257,8 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     """Check every within-basis Gram entry and every cross-basis overlap.
 
     Pass iff the largest |G - I| entry over all bases and the largest
-    | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol. A family
+    | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol and no
+    deviation is NaN (finite entries whose products overflow). A family
     whose bases are not a (d+1, d, d) array of finite entries is rejected, and
     so is a negative tolerance, which no family could meet.
 
@@ -269,7 +270,7 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     ``_VERIFY_BLOCK_BYTES`` each, so memory beyond the family stays
     O(block). The reported worst entry is the first largest one, in row-major
     order, of the last basis (or pair of bases, in (b, b') order) whose
-    largest deviation ties the overall maximum.
+    largest deviation ties the overall maximum; a NaN deviation is never it.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
@@ -351,5 +352,6 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
         max_unbiasedness_deviation=worst_unb,
         worst_orthonormality=worst_orth_at,
         worst_unbiasedness=worst_unb_at,
-        passed=bool(worst_orth <= tol and worst_unb <= tol),
+        # every maximum <= tol, so a NaN deviation, which is never the worst, fails
+        passed=bool((orth_max <= tol).all() and (unb_max <= tol).all()),
     )

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecert.bounds import (
     all_outcome_pairs_bound,
@@ -373,3 +375,39 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
 def test_hyperspherical_state_rejects_non_finite_angles(x, phi):
     with pytest.raises(ValueError):
         hyperspherical_state(x, phi)
+
+
+def reference_state(x, phi):
+    """The scalar loop ``hyperspherical_state`` ran before it became the
+    one-row case of the grid kernel."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    d = x.size + 1
+    amps = np.empty(d, dtype=complex)
+    amps[0] = np.cos(x[0])
+    running = 1.0
+    for m in range(1, d - 1):
+        running *= np.sin(x[m - 1])
+        amps[m] = running * np.cos(x[m]) * np.exp(1j * phi[m - 1])
+    running *= np.sin(x[d - 2])
+    amps[d - 1] = running * np.exp(1j * phi[d - 2])
+    return amps
+
+
+_MODULUS = st.one_of(st.sampled_from([0.0, np.pi / 2.0]), st.floats(0.0, np.pi / 2.0))
+_PHASE = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+_ANGLES = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(
+        st.lists(_MODULUS, min_size=d - 1, max_size=d - 1),
+        st.lists(_PHASE, min_size=d - 1, max_size=d - 1),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANGLES)
+def test_hyperspherical_state_keeps_the_scalar_loop_bytes(angles):
+    x, phi = angles
+    got = hyperspherical_state(x, phi)
+    assert got.dtype == np.complex128 and got.shape == (len(x) + 1,)
+    assert got.tobytes() == reference_state(x, phi).tobytes()

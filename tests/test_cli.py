@@ -206,3 +206,30 @@ def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples
     assert code == 3
     assert out == ""
     assert err == "finecert cycle: seed must be a non-negative integer (got -1)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--pauli-triple", "--outcomes", "0", "0"], "--pauli-triple takes exactly three outcomes"),
+        (["--pauli-pair", "x", "z", "--outcomes", "0"], "--pauli-pair takes exactly two outcomes"),
+        (["--d", "5", "--outcomes", "1", "2", "3"], "--d mode takes exactly two outcomes"),
+        (
+            ["--d", "1"],
+            "d must be an odd prime (got 1); for d=2 use the Pauli eigenbases "
+            "provided by finecert.qubit",
+        ),
+        (
+            ["--d", "4"],
+            "d must be an odd prime (got 4); for d=2 use the Pauli eigenbases "
+            "provided by finecert.qubit",
+        ),
+    ],
+)
+def test_bound_error_messages(capsys, argv, message):
+    # the ensemble is checked before the closed form, so a bad --d shows the
+    # ensemble's message, not mub_pair_bound's "d must be prime"
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"finecert bound: {message}\n"

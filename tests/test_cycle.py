@@ -325,3 +325,16 @@ def test_singleton_arguments_requires_designation():
     cfg = cycle_config(3, layout=MembraneLayout.finest(3))
     with pytest.raises(ValueError, match="singleton"):
         singleton_arguments(cfg, component_states(3))
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([np.eye(4) / 4] * 3, r"component states must be 3x3, got shape \(4, 4\)"),
+        ([np.eye(3) / 3] * 4, "need 3 component states, got 4"),
+    ],
+)
+def test_work_retrieval_w2_checks_its_components(components, message):
+    # as delta_w and work_extraction_w1 do: no W2 of the wrong size or count
+    with pytest.raises(ValueError, match=message):
+        work_retrieval_w2(cycle_config(3), components)

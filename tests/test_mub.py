@@ -157,3 +157,14 @@ def test_verify_mub_rejects_wrong_shape(shape):
 def test_verify_mub_rejects_negative_tolerance(tol):
     with pytest.raises(ValueError, match="non-negative"):
         verify_mub(mub_family(3), tol=tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_mub_fails_a_family_whose_deviations_overflow_to_nan():
+    # finite entries whose products are NaN: no deviation is reported as the
+    # worst, yet the family must not pass
+    family = MubFamily(5, mub_family(5).bases * 1e200 * (1 + 1j))
+    report = verify_mub(family)
+    assert report.passed is False
+    assert report.max_orthonormality_deviation == 0.0
+    assert report.max_unbiasedness_deviation == 0.0
