@@ -26,13 +26,13 @@ from . import mub as _mub
 from . import qubit as _qubit
 from .numerics import (
     DEGENERACY_TOL,
+    PROBABILITY_SUM_TOL,
     check_state_vector,
     fix_global_phase,
     hermitian_eig,
     hermiticity_deviation,
 )
 
-WEIGHT_SUM_TOL = 1e-9
 IDEMPOTENCY_TOL = 1e-10
 
 #: Hard cap on grid-search size, about a minute of vectorized evaluation.
@@ -55,12 +55,12 @@ class MeasurementEnsemble:
     terms: tuple
 
 
-def measurement_ensemble(terms, tol: float = IDEMPOTENCY_TOL) -> MeasurementEnsemble:
+def measurement_ensemble(terms) -> MeasurementEnsemble:
     """Validate and freeze (label, weight, projector) triples into an ensemble.
 
-    Weights must be >= 0 and sum to 1 within 1e-9; every projector must be
-    Hermitian and idempotent within ``tol`` (rank above 1 is allowed, which
-    coarse-grains several outcomes into one).
+    Weights must be >= 0 and sum to 1 within ``PROBABILITY_SUM_TOL``; every
+    projector must be Hermitian and idempotent within ``IDEMPOTENCY_TOL``
+    (rank above 1 is allowed, which coarse-grains several outcomes into one).
     """
     packed = []
     dim = None
@@ -82,16 +82,16 @@ def measurement_ensemble(terms, tol: float = IDEMPOTENCY_TOL) -> MeasurementEnse
                 f"dimension mismatch: term {label!r} is {p.shape[0]}-dimensional, expected {dim}"
             )
         dev = hermiticity_deviation(p)
-        if dev > tol:
+        if dev > IDEMPOTENCY_TOL:
             raise ValueError(f"projector for term {label!r} not Hermitian: deviation {dev:.3e}")
         idem = float(np.max(np.abs(p @ p - p)))
-        if idem > tol:
+        if idem > IDEMPOTENCY_TOL:
             raise ValueError(f"projector for term {label!r} not idempotent: deviation {idem:.3e}")
         packed.append(EnsembleTerm(label=str(label), weight=weight, projector=p))
     if not packed:
         raise ValueError("ensemble needs at least one term")
     total = sum(t.weight for t in packed)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"weights sum to {total:.12f}, not 1")
     return MeasurementEnsemble(dim=int(dim), terms=tuple(packed))
 
@@ -208,11 +208,14 @@ def _grid_amplitudes(x_cols, phi_cols, d: int) -> np.ndarray:
     amps = np.empty((n, d), dtype=complex)
     amps[:, 0] = np.cos(x_cols[0])
     running = np.ones(n)
-    for m in range(1, d - 1):
+    for m in range(1, d):
         running = running * np.sin(x_cols[m - 1])
-        amps[:, m] = running * np.cos(x_cols[m]) * np.exp(1j * phi_cols[m - 1])
-    running = running * np.sin(x_cols[d - 2])
-    amps[:, d - 1] = running * np.exp(1j * phi_cols[d - 2])
+        r = running * np.cos(x_cols[m]) if m < d - 1 else running
+        phase = np.exp(1j * phi_cols[m - 1])
+        # r e^{i phi} term by term, as the scalar product with r + 0i rounds it: numpy's
+        # array product may fuse r sin(phi) + 0 cos(phi) and keep an underflowed -0.0
+        amps.real[:, m] = r * phase.real - 0.0 * phase.imag
+        amps.imag[:, m] = r * phase.imag + 0.0 * phase.real
     return amps
 
 
@@ -316,7 +319,7 @@ def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
     bases; :mod:`finecert.mub` owns their meaning, d = 2 included (where the
     pair is sigma_z with sigma_x). Only the two requested vectors are built.
     """
-    d = _mub._check_dim(d, qubit=True)
+    d = _mub._check_dim(d, qubit=True, not_prime=_mub._NOT_PRIME)
     i1, i2 = _mub.basis_index(d, k1), _mub.basis_index(d, k2)
     if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
@@ -342,7 +345,7 @@ def mub_pair_bound(d: int) -> float:
     """Closed-form equal-weight pair bound 1/2 + 1/(2 sqrt d) for prime d."""
     d = int(d)
     if not _mub.is_prime(d):
-        raise ValueError(f"d must be prime (got {d})")
+        raise ValueError(_mub._NOT_PRIME.format(d))
     return 0.5 + 0.5 / np.sqrt(d)
 
 

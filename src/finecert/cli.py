@@ -122,7 +122,10 @@ def _result(command: str, parameters: dict, payload: dict, provenance: str) -> d
 
 
 def _parse_basis_label(text: str):
-    return text if text.lower() == _mub.Z_LABEL else int(text)
+    try:
+        return int(text)
+    except ValueError:  # passed on as text: mub names the labels it accepts
+        return text
 
 
 def _cmd_mub(args) -> dict:
@@ -239,13 +242,9 @@ def _cmd_cycle(args) -> dict:
             raise ValueError("--counterfactual-zeta applies to a single cycle, not a scan")
         if priors is not None:
             raise ValueError("the basis scan uses uniform priors")
-    # reject d before the O(d^2) layout preset or a random basis is built
+    # reject d before a random basis or the O(d^2) symmetric preset is built
     _cycle._check_d(args.d)
-    layout = (
-        _cycle.MembraneLayout.paper_preset(args.d)
-        if args.layout == "paper"
-        else _cycle.MembraneLayout.symmetric_preset(args.d)
-    )
+    layout = None if args.layout == "paper" else _cycle.MembraneLayout.symmetric_preset(args.d)
     if scan:
         report = _cycle.scan_bases(
             args.d, args.samples, args.seed, layout=layout, keep_samples=args.per_sample

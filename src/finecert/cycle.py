@@ -46,14 +46,13 @@ from . import mub as _mub
 from .bounds import mub_pair_bound
 from .numerics import PROBABILITY_SUM_TOL, binary_entropy, shannon_entropy, von_neumann_entropy
 
-PRIOR_SUM_TOL = 1e-9
 BASIS_TOL = 1e-10
 UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
 WINDOW_SLACK = 1e-10
 
 #: The cycle's dimension check: 2 or an odd prime up to ``mub.MAX_MUB_DIM``.
-_check_d = functools.partial(_mub._check_dim, qubit=True, not_prime="d must be prime (got {})")
+_check_d = functools.partial(_mub._check_dim, qubit=True, not_prime=_mub._NOT_PRIME)
 
 
 def component_state(d: int, i: int) -> np.ndarray:
@@ -141,8 +140,8 @@ class CycleConfig:
 
     @functools.cached_property
     def _plan(self) -> _LayoutPlan:
-        """The checked layout plan, built on first use. It is not a field, so
-        a copy made by ``dataclasses.replace`` builds its own."""
+        """The checked layout plan, set by ``cycle_config`` or built on first use. It
+        is not a field, so a copy made by ``dataclasses.replace`` builds its own."""
         return _layout_plan(self.layout, self.d)
 
 
@@ -159,8 +158,9 @@ def _first_failure(ok: np.ndarray):
 
 
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
-    """Validated cycle configuration; defaults are uniform priors, the
-    computational membrane basis, and the singleton-style default layout."""
+    """Validated cycle configuration; defaults are uniform priors, the computational
+    membrane basis, and the paper preset with its checked plan from the per-d memo
+    that scans use. A layout the caller passes is checked here, once."""
     d = _check_d(d)
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
@@ -169,7 +169,7 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
         raise ValueError("priors contain NaN or Inf entries")
     if float(priors.min()) < 0.0:
         raise ValueError(f"negative prior {float(priors.min()):.3e}")
-    if not abs(float(priors.sum()) - 1.0) <= PRIOR_SUM_TOL:
+    if not abs(float(priors.sum()) - 1.0) <= PROBABILITY_SUM_TOL:
         raise ValueError(f"priors sum to {float(priors.sum()):.12f}, not 1")
     basis = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     if basis.shape != (d, d):
@@ -179,9 +179,9 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     gram_dev = float(_basis_deviations(basis[None])[0])
     if not gram_dev <= BASIS_TOL:
         raise ValueError(f"membrane basis not orthonormal: deviation {gram_dev:.3e}")
-    layout = MembraneLayout.paper_preset(d) if layout is None else layout
+    layout, plan = _paper_plan(d) if layout is None else (layout, _layout_plan(layout, d))
     cfg = CycleConfig(d=d, priors=priors, basis=basis, layout=layout)
-    cfg._plan  # check the layout now; every evaluation of cfg reuses the plan
+    object.__setattr__(cfg, "_plan", plan)  # fills the frozen config's cached plan
     return cfg
 
 
@@ -286,7 +286,7 @@ def _chamber_weights(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -
     weights = np.zeros((probs.shape[0], len(plan.chambers)))
     weights[:, plan.filled] = np.add.reduceat(weighted[:, plan.members], plan.starts, axis=1)
     total = weights.sum(axis=1)
-    bad = _first_failure(np.abs(total - 1.0) <= PRIOR_SUM_TOL)
+    bad = _first_failure(np.abs(total - 1.0) <= PROBABILITY_SUM_TOL)
     if bad is not None:
         raise ValueError(f"chamber weights sum to {total[bad]:.12f}, not 1")
     return weights
@@ -304,14 +304,6 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     if bad is not None:
         raise ValueError(f"probabilities sum to {total.flat[bad]:.12f}, not 1")
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-
-
-def _binary_entropies(s: np.ndarray) -> np.ndarray:
-    """Elementwise H_b(s), with the argument check of ``binary_entropy``."""
-    bad = _first_failure(((s >= 0.0) & (s <= 1.0)).reshape(-1))
-    if bad is not None:
-        raise ValueError(f"binary entropy argument {s.flat[bad]} outside [0, 1]")
-    return _row_entropies(np.stack([s, 1.0 - s], axis=-1))
 
 
 def _w1(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
@@ -405,7 +397,8 @@ def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
         in_window = np.all(s >= 1.0 - zeta, axis=1) & np.all(s <= zeta + WINDOW_SLACK, axis=1)
         excess = s.max(axis=1) - zeta
         if cycle.hb_applies:
-            hb_form = binary_entropy(zeta) - _binary_entropies(s).mean(axis=1)
+            hb = _row_entropies(np.stack([s, 1.0 - s], axis=-1))  # s is clipped into [0, 1]
+            hb_form = binary_entropy(zeta) - hb.mean(axis=1)
             residual = np.abs(delta - hb_form)
     return _CycleBatch(
         w1=w1,

@@ -78,6 +78,7 @@ def is_prime(n: int) -> bool:
 _NOT_ODD_PRIME = (
     "d must be an odd prime (got {}); for d=2 use the Pauli eigenbases provided by finecert.qubit"
 )
+_NOT_PRIME = "d must be prime (got {})"  # for callers that take d = 2 (qubit=True)
 
 
 def _check_dim(d: int, qubit: bool = False, not_prime: str = _NOT_ODD_PRIME) -> int:
@@ -141,7 +142,7 @@ def basis_index(d: int, label) -> int:
     if isinstance(label, str) and label.lower() == Z_LABEL:
         return 0
     if d == 2:
-        if int(label) == 0:
+        if not isinstance(label, str) and int(label) == 0:
             return 1
         raise ValueError(f"d=2 supports basis labels 'z' and 0 only (got {label!r})")
     if isinstance(label, str):

@@ -29,6 +29,7 @@ EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-9
 
 STATE_NORM_TOL = 1e-10
+#: The one sum-to-one tolerance: priors, ensemble and chamber weights, distributions.
 PROBABILITY_SUM_TOL = 1e-9
 
 
@@ -50,11 +51,12 @@ def hermiticity_deviation(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
+    """``m`` as a square complex matrix, Hermitian within ``HERMITIAN_TOL``."""
     a = as_square_matrix(m)
     dev = hermiticity_deviation(a)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
     return a
 
 
@@ -82,20 +84,20 @@ class SpectralDecomposition:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def hermitian_eig(m) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix, deterministically for identical input.
 
     Parameters
     ----------
     m : array_like
-        Square complex matrix, Hermitian to within ``tol``.
+        Square complex matrix, Hermitian to within ``HERMITIAN_TOL``.
 
     Returns
     -------
     SpectralDecomposition
         Ascending real eigenvalues and orthonormal eigenvector columns.
     """
-    a = check_hermitian(m, tol)
+    a = check_hermitian(m)
     # Symmetrize so roundoff asymmetry below the tolerance cannot leak into
     # the solver; keeps output identical for inputs that compare equal.
     a = 0.5 * (a + a.conj().T)
@@ -109,10 +111,10 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(values=values, vectors=vectors)
 
 
-def fix_global_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible amplitude is real >= 0."""
+def fix_global_phase(psi: np.ndarray) -> np.ndarray:
+    """Rotate the global phase so the first amplitude of modulus above 1e-12 is real >= 0."""
     for a in psi:
-        if abs(a) > tol:
+        if abs(a) > 1e-12:
             return psi * (a.conjugate() / abs(a))
     return psi
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finecert.bounds import (
@@ -406,6 +406,8 @@ _ANGLES = st.integers(2, 6).flatmap(
 
 @settings(max_examples=300, deadline=None)
 @given(_ANGLES)
+# a subnormal modulus whose r sin(phi) underflows to -0.0 in the last amplitude
+@example(((np.pi / 2.0,) * 3 + (5e-324,), (0.0, 0.0, 0.0, 6.0)))
 def test_hyperspherical_state_keeps_the_scalar_loop_bytes(angles):
     x, phi = angles
     got = hyperspherical_state(x, phi)

@@ -214,21 +214,16 @@ def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples
         (["--pauli-triple", "--outcomes", "0", "0"], "--pauli-triple takes exactly three outcomes"),
         (["--pauli-pair", "x", "z", "--outcomes", "0"], "--pauli-pair takes exactly two outcomes"),
         (["--d", "5", "--outcomes", "1", "2", "3"], "--d mode takes exactly two outcomes"),
-        (
-            ["--d", "1"],
-            "d must be an odd prime (got 1); for d=2 use the Pauli eigenbases "
-            "provided by finecert.qubit",
-        ),
-        (
-            ["--d", "4"],
-            "d must be an odd prime (got 4); for d=2 use the Pauli eigenbases "
-            "provided by finecert.qubit",
-        ),
+        (["--d", "1"], "d must be prime (got 1)"),
+        (["--d", "4"], "d must be prime (got 4)"),
+        (["--d", "3", "--bases", "x", "0"], "unknown basis label 'x'; use 'z' or 0..2"),
+        (["--d", "2", "--bases", "z", "x"], "d=2 supports basis labels 'z' and 0 only (got 'x')"),
+        (["--d", "9"], "d must be prime (got 9)"),
     ],
 )
 def test_bound_error_messages(capsys, argv, message):
-    # the ensemble is checked before the closed form, so a bad --d shows the
-    # ensemble's message, not mub_pair_bound's "d must be prime"
+    # the ensemble is checked before the closed form, so --d is checked by mub,
+    # which takes d = 2 here and gives a non-prime d the cycle's message
     code, out, err = run_cli(capsys, "bound", *argv)
     assert code == 3
     assert out == ""

@@ -70,8 +70,7 @@ def test_pair_ensemble_projectors_equal_family_outer_products(choice):
 
 SAME = ("the two bases must differ; same-basis outcomes are either identical "
         "or orthogonal and carry no pair bound")
-ODD_PRIME_MSG = ("d must be an odd prime (got {}); for d=2 use the Pauli eigenbases "
-                 "provided by finecert.qubit")
+PRIME_MSG = "d must be prime (got {})"
 
 #: (arguments of mub_pair_ensemble, message), recorded before the pair vectors
 #: stopped being cut from a whole family.
@@ -88,12 +87,17 @@ PAIR_ERRORS = [
     ((5, "z", 0, 0, -1), "outcome index j=-1 outside 0..4"),
     ((5, 7, 7, 9, 9), "basis label 7 outside 0..4"),
     ((5, "z", 0, 7, 8), "outcome index j=7 outside 0..4"),
-    ((4, "z", 0, 0, 0), ODD_PRIME_MSG.format(4)),
-    ((1, "z", 0, 0, 0), ODD_PRIME_MSG.format(1)),
+    ((4, "z", 0, 0, 0), PRIME_MSG.format(4)),
+    ((1, "z", 0, 0, 0), PRIME_MSG.format(1)),
     ((67, "z", 0, 0, 0), "d=67 exceeds the supported maximum 64"),
     ((2, "z", 1, 0, 0), "d=2 supports basis labels 'z' and 0 only (got 1)"),
     ((2, "z", "z", 0, 0), SAME),
     ((2, "z", 0, 2, 0), "outcome index 2 outside 0..1"),
+    # recorded later, when d = 2 text labels and a non-prime d got these messages
+    ((2, "z", "x", 0, 0), "d=2 supports basis labels 'z' and 0 only (got 'x')"),
+    ((2, "x", 0, 0, 0), "d=2 supports basis labels 'z' and 0 only (got 'x')"),
+    ((2, "z", "0", 0, 0), "d=2 supports basis labels 'z' and 0 only (got '0')"),
+    ((9, "z", 0, 0, 0), PRIME_MSG.format(9)),
 ]
 
 #: (label, outcome, message) of MubFamily.vector at d = 5.

@@ -230,3 +230,32 @@ def test_given_layouts_are_checked_on_every_call(monkeypatch):
     with pytest.raises(ValueError, match="layout member 1.0 is not an integer"):
         scan_bases(3, 4, 1, layout=floats)
     assert [id(layout) for layout in calls] == [id(paper), id(memo), id(listed), id(floats)]
+
+
+def forbid_replanning(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the default layout was built or planned again")
+
+    monkeypatch.setattr(cycle, "_layout_plan", forbidden)
+    monkeypatch.setattr(MembraneLayout, "paper_preset", classmethod(forbidden))
+
+
+@pytest.mark.parametrize("d", [2, 3, 31])
+def test_default_config_takes_the_memoized_preset_and_plan(monkeypatch, d):
+    fresh = cycle.delta_w(cycle.cycle_config(d, layout=MembraneLayout.paper_preset(d))).as_dict()
+    layout, plan = cycle._paper_plan(d)
+    forbid_replanning(monkeypatch)
+    cfg = cycle.cycle_config(d)
+    assert cfg.layout is layout and cfg._plan is plan
+    assert cycle.delta_w(cfg).as_dict() == fresh
+
+
+def test_cli_paper_layout_takes_the_memo(monkeypatch, capsys):
+    from finecert.cli import main
+
+    argv = ["cycle", "--d", "5", "--layout", "paper"]
+    assert main(argv) == 0 and main(argv + ["--samples", "4"]) == 0
+    expected = capsys.readouterr().out
+    forbid_replanning(monkeypatch)
+    assert main(argv) == 0 and main(argv + ["--samples", "4"]) == 0
+    assert capsys.readouterr().out == expected
