@@ -163,7 +163,8 @@ def hyperspherical_state(x, phi) -> np.ndarray:
         raise ValueError("moduli angles must lie in [0, pi/2]")
     if not (np.all(phi >= 0.0) and np.all(phi < 2.0 * np.pi)):
         raise ValueError("phases must lie in [0, 2 pi)")
-    return _grid_amplitudes(x[:, None], phi[:, None], x.size + 1)[0]
+    out = np.empty((1, x.size + 1), dtype=complex)
+    return _grid_amplitudes(list(zip(np.cos(x), np.sin(x))), np.exp(1j * phi), out)[0]
 
 
 @dataclass(frozen=True)
@@ -183,40 +184,48 @@ class GridSearchResult:
     phi_step: float
 
 
-#: Amplitude bytes of one grid-search block; larger scans loop over more of
-#: the leading angles, so memory stays bounded whatever the grid size.
-GRID_CHUNK_BYTES = 1 << 22
+#: Amplitude bytes of one grid-search block. A grid that fits is one block;
+#: a larger one loops over its leading angles, so memory stays bounded
+#: whatever the grid size. The cap keeps a block's arrays in cache: at 4 MiB
+#: the d = 3, 16-step grid is one block of 65,536 rows (3.1 MB of
+#: amplitudes) and ran about 2x slower (16.5 vs 8.4 ms) than at 2 MiB, where
+#: it takes 16 blocks of 4,096 rows.
+GRID_CHUNK_BYTES = 1 << 21
 
 
 def _grid_trailing_axes(d: int, steps: int) -> int:
     """Number t of trailing grid axes meshed into one block of steps**t rows.
 
-    The largest t, up to all 2d-3 axes after x0, whose (rows, d) complex
-    amplitudes fit GRID_CHUNK_BYTES, and at least 1. A block therefore never
-    has a single row: a one-row product takes BLAS's matrix-vector path, whose
-    roundoff differs from the matrix product's, and the tie-break would then
-    depend on the block size.
+    The largest t, up to all 2d-2 axes (the whole grid as one block), whose
+    (rows, d) complex amplitudes fit GRID_CHUNK_BYTES, and at least 1. A block
+    therefore never has a single row: a one-row product takes BLAS's
+    matrix-vector path, whose roundoff differs from the matrix product's, and
+    the tie-break would then depend on the block size.
     """
     t = 1
-    while t < 2 * d - 3 and 16 * d * steps ** (t + 1) <= GRID_CHUNK_BYTES:
+    while t < 2 * d - 2 and 16 * d * steps ** (t + 1) <= GRID_CHUNK_BYTES:
         t += 1
     return t
 
 
-def _grid_amplitudes(x_cols, phi_cols, d: int) -> np.ndarray:
-    n = x_cols[0].shape[0]
-    amps = np.empty((n, d), dtype=complex)
-    amps[:, 0] = np.cos(x_cols[0])
-    running = np.ones(n)
+def _grid_amplitudes(x_trig, phases, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, d) rows of ``out`` with hyperspherical amplitudes.
+
+    ``x_trig[m]`` is (cos x_m, sin x_m) and ``phases[m]`` is e^{i phi_m}; each
+    is a scalar shared by every row or a column of n values.
+    """
+    d = out.shape[1]
+    out[:, 0] = x_trig[0][0]
+    running = 1.0
     for m in range(1, d):
-        running = running * np.sin(x_cols[m - 1])
-        r = running * np.cos(x_cols[m]) if m < d - 1 else running
-        phase = np.exp(1j * phi_cols[m - 1])
+        running = running * x_trig[m - 1][1]
+        r = running * x_trig[m][0] if m < d - 1 else running
+        phase = phases[m - 1]
         # r e^{i phi} term by term, as the scalar product with r + 0i rounds it: numpy's
         # array product may fuse r sin(phi) + 0 cos(phi) and keep an underflowed -0.0
-        amps.real[:, m] = r * phase.real - 0.0 * phase.imag
-        amps.imag[:, m] = r * phase.imag + 0.0 * phase.real
-    return amps
+        out.real[:, m] = r * phase.real - 0.0 * phase.imag
+        out.imag[:, m] = r * phase.imag + 0.0 * phase.real
+    return out
 
 
 def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearchResult:
@@ -226,9 +235,11 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     included) and d-1 phases over [0, 2 pi) with ``steps_per_angle`` values
     each. Deterministic: on ties the lexicographically smallest angle tuple
     wins. Intended for cross-checking the spectral path in dimension <= 5.
-    Rows are evaluated in blocks of at most ``GRID_CHUNK_BYTES`` of
-    amplitudes (one innermost-axis line at the least), so memory does not
-    grow with the grid.
+    The cosines, sines and phase factors of the ``steps_per_angle`` grid
+    values are taken once per call, and every block's columns are lookups
+    into them. Rows are evaluated in blocks of at most ``GRID_CHUNK_BYTES``
+    of amplitudes (one innermost-axis line at the least, the whole grid when
+    it fits), so memory does not grow with the grid.
     """
     d = ens.dim
     if d > MAX_GRID_DIM:
@@ -244,37 +255,45 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; reduce steps_per_angle")
 
-    op = certainty_operator(ens)
+    op_t = certainty_operator(ens).T
     x_grid = np.linspace(0.0, np.pi / 2.0, steps)
     phi_grid = 2.0 * np.pi * np.arange(steps) / steps
-    axes = [x_grid] * (d - 1) + [phi_grid] * (d - 1)
+    cos_x, sin_x, phase = np.cos(x_grid), np.sin(x_grid), np.exp(1j * phi_grid)
     t = _grid_trailing_axes(d, steps)
+    lead = 2 * d - 2 - t
 
-    mesh = np.meshgrid(*axes[-t:], indexing="ij")
-    trailing = [m.ravel() for m in mesh]
-    n = trailing[0].shape[0]
+    def trig(axis, i):  # i is one grid index (a leading axis) or a column of them
+        return (cos_x[i], sin_x[i]) if axis < d - 1 else phase[i]
+
+    # the trailing axes' columns are the same in every block, so they are
+    # gathered once, at the grid indices of the rows in C order
+    block = (steps,) * t
+    trailing_trig = [trig(lead + k, i) for k, i in enumerate(np.indices(block).reshape(t, -1))]
+    amps = np.empty((steps**t, d), dtype=complex)
+    prod = np.empty_like(amps)
 
     best_value = -np.inf
-    best_angles = None
+    best_index = None
     # The outer loop runs over the leading angles (x0 first) in lexicographic
-    # order; meshgrid with C-order ravel preserves it over the trailing axes,
-    # and only a strictly larger value replaces the best, so argmax picks the
+    # order; the C-order rows preserve it over the trailing axes, and only a
+    # strictly larger value replaces the best, so argmax picks the
     # lexicographically smallest angle tuple on exact ties.
-    for leading in itertools.product(*axes[:-t]):
-        cols = [np.full(n, value) for value in leading] + trailing
-        x_cols = cols[: d - 1]
-        phi_cols = cols[d - 1 :]
-        amps = _grid_amplitudes(x_cols, phi_cols, d)
-        values = np.sum(amps.conj() * (amps @ op.T), axis=1).real
+    for leading in itertools.product(range(steps), repeat=lead):
+        cols = [trig(axis, i) for axis, i in enumerate(leading)] + trailing_trig
+        _grid_amplitudes(cols[: d - 1], cols[d - 1 :], amps)
+        np.matmul(amps, op_t, out=prod)
+        # conjugated in place: the kernel rewrites every entry of the next block
+        np.multiply(np.conjugate(amps, out=amps), prod, out=prod)
+        values = np.sum(prod, axis=1).real
         pos = int(np.argmax(values))
         if float(values[pos]) > best_value:
             best_value = float(values[pos])
-            best_angles = (
-                tuple(float(c[pos]) for c in x_cols),
-                tuple(float(c[pos]) for c in phi_cols),
-            )
+            best_index = leading + tuple(int(i) for i in np.unravel_index(pos, block))
 
-    angles = HypersphericalAngles(x=best_angles[0], phi=best_angles[1])
+    angles = HypersphericalAngles(
+        x=tuple(float(x_grid[i]) for i in best_index[: d - 1]),
+        phi=tuple(float(phi_grid[i]) for i in best_index[d - 1 :]),
+    )
     return GridSearchResult(
         zeta=best_value,
         angles=angles,

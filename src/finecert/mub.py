@@ -27,6 +27,7 @@ d = 2 only ``"z"`` and 0).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,17 @@ def _roots(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int: an int or a numpy integer, never a float, which
+    ``int()`` would truncate. Anything else raises a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def _check_basis_index(d: int, k) -> int:
-    k = int(k)
+    k = _index(k, "basis index")
     if not 0 <= k < d:
         raise ValueError(f"basis index k={k} outside 0..{d - 1}")
     return k
@@ -129,7 +139,7 @@ def _member_rows(d: int, i: int, j) -> np.ndarray:
 
 def outcome_index(d: int, j) -> int:
     """Validated outcome (vector) index j in 0..d-1."""
-    index = int(j)
+    index = _index(j, "outcome index")
     if not 0 <= index < d:
         if d == 2:  # the qubit pair's message shows j as given
             raise ValueError(f"outcome index {j} outside 0..1")
@@ -142,12 +152,12 @@ def basis_index(d: int, label) -> int:
     if isinstance(label, str) and label.lower() == Z_LABEL:
         return 0
     if d == 2:
-        if not isinstance(label, str) and int(label) == 0:
+        if not isinstance(label, str) and _index(label, "basis label") == 0:
             return 1
         raise ValueError(f"d=2 supports basis labels 'z' and 0 only (got {label!r})")
     if isinstance(label, str):
         raise ValueError(f"unknown basis label {label!r}; use 'z' or 0..{d - 1}")
-    k = int(label)
+    k = _index(label, "basis label")
     if not 0 <= k < d:
         raise ValueError(f"basis label {k} outside 0..{d - 1}")
     return 1 + k

@@ -316,12 +316,13 @@ def test_gridsearch_row_blocks_give_identical_result(monkeypatch):
     import finecert.bounds as bounds_module
 
     whole = [zeta_gridsearch(ens, steps) for ens, steps in _grid_ensembles()]
-    # a cap of one byte still gives blocks of one innermost-axis line
-    for t in (0, 1, 2):
+    # a cap of one byte still gives blocks of one innermost-axis line; caps
+    # from t = 2 (d = 2) and t = 4 (d = 3) on mesh the whole grid as one block
+    for t in range(5):
         for (ens, steps), expected in zip(_grid_ensembles(), whole):
             cap = max(1, 16 * ens.dim * steps**t)
             monkeypatch.setattr(bounds_module, "GRID_CHUNK_BYTES", cap)
-            expected_t = max(1, min(t, 2 * ens.dim - 3))
+            expected_t = max(1, min(t, 2 * ens.dim - 2))
             assert bounds_module._grid_trailing_axes(ens.dim, steps) == expected_t
             got = zeta_gridsearch(ens, steps)
             assert got.zeta == expected.zeta
@@ -350,8 +351,8 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
 
     seen = []
 
-    def first_block(x_cols, phi_cols, dim):
-        seen.append(x_cols[0].shape[0])
+    def first_block(x_trig, phases, out):
+        seen.append(out.shape[0])
         raise _StopAfterFirstBlock
 
     monkeypatch.setattr(bounds_module, "_grid_amplitudes", first_block)

@@ -98,6 +98,13 @@ PAIR_ERRORS = [
     ((2, "x", 0, 0, 0), "d=2 supports basis labels 'z' and 0 only (got 'x')"),
     ((2, "z", "0", 0, 0), "d=2 supports basis labels 'z' and 0 only (got '0')"),
     ((9, "z", 0, 0, 0), PRIME_MSG.format(9)),
+    # recorded when float labels and outcomes stopped being truncated by int()
+    ((5, "z", 2.9, 0, 1.5), "basis label 2.9 is not an integer"),
+    ((5, 2.0, "z", 0, 0), "basis label 2.0 is not an integer"),
+    ((5, "z", 2, 0, 1.5), "outcome index 1.5 is not an integer"),
+    ((5, "z", 2, 3.0, 0), "outcome index 3.0 is not an integer"),
+    ((2, "z", 0.0, 0, 0), "basis label 0.0 is not an integer"),
+    ((2, "z", 0, 0, 1.0), "outcome index 1.0 is not an integer"),
 ]
 
 #: (label, outcome, message) of MubFamily.vector at d = 5.
@@ -108,6 +115,9 @@ VECTOR_ERRORS = [
     (0, 5, "outcome index j=5 outside 0..4"),
     ("z", -1, "outcome index j=-1 outside 0..4"),
     (9, 9, "outcome index j=9 outside 0..4"),
+    (2.7, 0, "basis label 2.7 is not an integer"),
+    (2, 1.2, "outcome index 1.2 is not an integer"),
+    ("z", 0.0, "outcome index 0.0 is not an integer"),
 ]
 
 
@@ -130,6 +140,20 @@ def test_quadratic_basis_validates_d_and_k():
         mub.quadratic_basis(67, 0)
     with pytest.raises(ValueError, match=re.escape("basis index k=5 outside 0..4")):
         mub.quadratic_basis(5, 5)
+
+
+def test_float_indices_are_rejected_and_numpy_integers_pass():
+    with pytest.raises(ValueError, match=re.escape("basis index 2.7 is not an integer")):
+        mub.mub_vector(5, 2.7, 1.2)
+    with pytest.raises(ValueError, match=re.escape("outcome index 1.2 is not an integer")):
+        mub.mub_vector(5, 2, 1.2)
+    with pytest.raises(ValueError, match=re.escape("basis index 1.0 is not an integer")):
+        mub.quadratic_basis(5, 1.0)
+    assert mub.mub_vector(5, np.int64(2), np.int16(1)).tobytes() == mub.mub_vector(5, 2, 1).tobytes()
+    ens = bounds.mub_pair_ensemble(5, np.int32(1), np.int64(2), np.uint8(3), np.int8(4))
+    assert [t.label for t in ens.terms] == ["1:3", "2:4"]
+    qubit = bounds.mub_pair_ensemble(2, "z", np.int64(0), 0, np.int64(1))
+    assert [t.label for t in qubit.terms] == ["z:0", "0:1"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 31, 61])

@@ -1,14 +1,16 @@
-"""50-digit mpmath references for the cycle's W2 and for top eigenvalues.
+"""50-digit mpmath references for the cycle's W2, its binary-entropy work
+form and for top eigenvalues.
 
 The double-precision results are compared with values computed in 50-digit
-arithmetic from their closed form (W2) or from the same certainty operator
-(the top eigenvalue), so the reference owes nothing to the code under test.
+arithmetic from their closed form (W2, the binary-entropy form) or from the
+same certainty operator (the top eigenvalue), so the reference owes nothing
+to the code under test.
 """
 
 import pytest
 
 from finecert import bounds, mub
-from finecert.cycle import cycle_config, delta_w
+from finecert.cycle import MembraneLayout, cycle_config, delta_w
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -46,3 +48,25 @@ def test_spectral_zeta_equals_the_50_digit_top_eigenvalue(name):
         values, _ = mpmath.eighe(mpmath.matrix(op.tolist()))
         top = max(values[i] for i in range(ens.dim))
         assert abs(mpmath.mpf(bounds.zeta_spectral(ens).zeta) - top) <= 1e-15
+
+
+#: The paper preset's binary-entropy work at d = 3, 5, 7, 11, to four places.
+PAPER_DELTA_W = {3: -0.0849, 5: 0.1807, 7: 0.3477, 11: 0.5344}
+
+
+@pytest.mark.parametrize("preset", ["paper_preset", "symmetric_preset"])
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_binary_entropy_form_equals_the_50_digit_reference(d, preset):
+    # in the computational basis the singleton argument of membrane j is
+    # <j|rho_i|j> = (delta_ij + 1/d)/2 for its singleton component i, so the
+    # form H_b(zeta) - (1/d) sum_j H_b(s_j) has an exact 50-digit value
+    layout = getattr(MembraneLayout, preset)(d)
+    report = delta_w(cycle_config(d, layout=layout))
+    with mpmath.workdps(50):
+        zeta = mpmath.mpf(1) / 2 + 1 / (2 * mpmath.sqrt(d))
+        s = [(int(i == j) + mpmath.mpf(1) / d) / 2 for j, i in enumerate(layout.singletons)]
+        want = binary_entropy_mp(zeta) - mpmath.fsum(binary_entropy_mp(v) for v in s) / d
+        assert abs(mpmath.mpf(report.hb_form_delta_w) - want) <= 1e-14
+        assert abs(mpmath.mpf(report.delta_w) - want) <= 1e-12
+    if preset == "paper_preset" and d in PAPER_DELTA_W:
+        assert round(float(want), 4) == PAPER_DELTA_W[d]
