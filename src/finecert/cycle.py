@@ -62,7 +62,7 @@ def component_state(d: int, i: int) -> np.ndarray:
     entropy H_b(1/2 + 1/(2 sqrt d)). It is row i of ``component_states(d)``.
     """
     d = _check_d(d)
-    i = int(i)
+    i = _mub._index(i, "component index")
     if not 0 <= i < d:
         raise ValueError(f"component index {i} outside 0..{d - 1}")
     return component_states(d)[i]
@@ -190,7 +190,8 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
 # Every cycle evaluation, single or scanned, runs through the helpers below on
 # a stack of membrane bases of shape (n, d, d). Work that does not depend on
 # the basis (layout checks, component validation, W2) is done once per stack;
-# a scan's uniform-prior components and W2 are built once per dimension.
+# the uniform-prior standard components and their W2, which scans and default
+# ``delta_w`` calls use, are built once per dimension.
 
 
 @dataclass(frozen=True)
@@ -508,8 +509,12 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     hypothetical bound for every singleton argument) additionally needs
     uniform priors and a layout that designates singleton components.
     """
-    components = component_states(cfg.d) if components is None else list(components)
-    cycle = _prepare_cycle(cfg.d, _cycle_parts(cfg.d, cfg.priors, components), cfg._plan)
+    if components is None and cfg.priors.tobytes() == _uniform_parts(cfg.d)[0].tobytes():
+        parts = _uniform_parts(cfg.d)  # the bytes the lines below would build
+    else:
+        components = component_states(cfg.d) if components is None else list(components)
+        parts = _cycle_parts(cfg.d, cfg.priors, components)
+    cycle = _prepare_cycle(cfg.d, parts, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(
             "the binary-entropy form needs uniform priors and a layout with "

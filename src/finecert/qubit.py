@@ -166,22 +166,30 @@ def average_certainty(alpha: float, panels: int = 2048) -> AverageCertainty:
     1 + sin(alpha)/pi together with a composite-Simpson quadrature of the
     integrand; the two agree to well below 1e-8 for the default panel count.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= np.pi:
-        raise ValueError(f"alpha={alpha} outside [0, pi]")
+    return next(_average_certainties([alpha], panels))
+
+
+def _average_certainties(alphas, panels: int = 2048):
+    """``average_certainty`` of each angle in turn, with the theta grid, the
+    fixed measurement's cos^2(theta/2) and the Simpson weights built once."""
     panels = int(panels)
     if panels < 1024:
         raise ValueError(f"need at least 1024 panels (got {panels})")
     if panels % 2:
         panels += 1
     theta = np.linspace(0.0, np.pi, panels + 1)
-    integrand = (np.cos(theta / 2.0) ** 2 + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
+    fixed = np.cos(theta / 2.0) ** 2
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     h = np.pi / panels
-    quadrature = float(h / 3.0 * np.dot(weights, integrand))
-    return AverageCertainty(closed_form=1.0 + np.sin(alpha) / np.pi, quadrature=quadrature)
+    for alpha in alphas:
+        alpha = float(alpha)
+        if not 0.0 <= alpha <= np.pi:
+            raise ValueError(f"alpha={alpha} outside [0, pi]")
+        integrand = (fixed + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
+        quadrature = float(h / 3.0 * np.dot(weights, integrand))
+        yield AverageCertainty(closed_form=1.0 + np.sin(alpha) / np.pi, quadrature=quadrature)
 
 
 @dataclass(frozen=True)

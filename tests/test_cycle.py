@@ -73,6 +73,9 @@ def test_component_state_rejects_bad_index():
         component_state(3, 3)
     with pytest.raises(ValueError, match="prime"):
         component_state(4, 0)
+    with pytest.raises(ValueError, match=r"component index 2\.7 is not an integer"):
+        component_state(5, 2.7)
+    assert component_state(5, np.int64(2)).tobytes() == component_states(5)[2].tobytes()
 
 
 # ---------------------------------------------------------------- layouts

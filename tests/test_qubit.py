@@ -3,6 +3,7 @@ import pytest
 
 from finecert.numerics import hermitian_eig
 from finecert.qubit import (
+    _average_certainties,
     average_certainty,
     bloch_to_state,
     pair_bound,
@@ -203,3 +204,31 @@ def test_non_finite_direction_rejected(direction):
         spin_projector(direction)
     with pytest.raises(ValueError):
         pair_certainty(direction, [0.0, 0.0, 1.0])
+
+
+def one_angle_quadrature(alpha, panels):
+    """The per-angle Simpson quadrature as it was written before the grid was shared."""
+    panels += panels % 2
+    theta = np.linspace(0.0, np.pi, panels + 1)
+    integrand = (np.cos(theta / 2.0) ** 2 + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.pi / panels / 3.0 * np.dot(weights, integrand))
+
+
+@pytest.mark.parametrize("panels", [1024, 1025, 2048, 4097])
+def test_shared_grid_quadrature_has_the_per_angle_bits(panels):
+    alphas = np.linspace(0.0, np.pi, 13).tolist()
+    shared = list(_average_certainties(alphas, panels))
+    for alpha, result in zip(alphas, shared):
+        assert result == average_certainty(alpha, panels)
+        assert result.quadrature == one_angle_quadrature(alpha, panels)
+        assert result.closed_form == 1.0 + np.sin(alpha) / np.pi
+
+
+def test_shared_grid_checks_every_angle():
+    results = _average_certainties([0.5, 4.0])
+    assert next(results).closed_form == 1.0 + np.sin(0.5) / np.pi
+    with pytest.raises(ValueError, match="alpha=4.0"):
+        next(results)

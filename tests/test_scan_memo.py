@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from finecert import cycle
+from finecert import cycle, mub
 from finecert.cycle import MembraneLayout, check_layout, component_states, scan_bases
 
 LAYOUTS = ("paper_preset", "symmetric_preset", "finest", "merged")
@@ -259,3 +259,39 @@ def test_cli_paper_layout_takes_the_memo(monkeypatch, capsys):
     forbid_replanning(monkeypatch)
     assert main(argv) == 0 and main(argv + ["--samples", "4"]) == 0
     assert capsys.readouterr().out == expected
+
+
+DIMENSIONS = [2] + [p for p in range(3, 62) if mub.is_prime(p)]
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_default_delta_w_takes_the_memo_with_the_same_bytes(monkeypatch, d):
+    cfg = cycle.cycle_config(d)
+    fresh = cycle.delta_w(cfg, components=component_states(d)).as_dict()  # built per call
+    cycle._uniform_parts(d)
+
+    def forbidden(*args):
+        raise AssertionError("the standard cycle parts were built again")
+
+    monkeypatch.setattr(cycle, "_cycle_parts", forbidden)
+    assert cycle.delta_w(cfg).as_dict() == fresh
+
+
+def test_delta_w_builds_parts_when_priors_or_components_differ(monkeypatch):
+    built = []
+    parts = cycle._cycle_parts
+
+    def counted(d, priors, components):
+        built.append(priors.tobytes())
+        return parts(d, priors, components)
+
+    monkeypatch.setattr(cycle, "_cycle_parts", counted)
+    uniform = np.full(5, 0.2)
+    nudged = uniform.copy()
+    nudged[0] = np.nextafter(0.2, 1.0)  # uniform to the tolerance, not to the byte
+    cycle.delta_w(cycle.cycle_config(5, priors=nudged))
+    cycle.delta_w(cycle.cycle_config(5), components=component_states(5))
+    cycle.delta_w(cycle.cycle_config(5, priors=[0.1, 0.2, 0.3, 0.2, 0.2]))
+    assert len(built) == 3 and built[0] == nudged.tobytes() and built[1] == uniform.tobytes()
+    cycle.delta_w(cycle.cycle_config(5, priors=[0.2] * 5), counterfactual_zeta=0.9)
+    assert len(built) == 3
