@@ -362,7 +362,7 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
 
 def mub_pair_bound(d: int) -> float:
     """Closed-form equal-weight pair bound 1/2 + 1/(2 sqrt d) for prime d."""
-    d = int(d)
+    d = _mub._index(d, "d")
     if not _mub.is_prime(d):
         raise ValueError(_mub._NOT_PRIME.format(d))
     return 0.5 + 0.5 / np.sqrt(d)

@@ -30,12 +30,14 @@ would make delta_w positive.
 
 A single cycle and a scan over random membrane bases run through the same
 batched kernel; a scan streams its samples through it in fixed-size chunks.
-A configuration checks its layout once, on first use, and keeps the checked
-plan for every later evaluation.
+The standard cycle of each d (uniform priors, the standard components, W2,
+zeta, the paper layout and its plan) is one read-only record, built once; a
+layout of the caller's own is checked once per configuration or scan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
@@ -98,25 +100,25 @@ class MembraneLayout:
     def paper_preset(cls, d: int) -> "MembraneLayout":
         """One singleton per outcome: component 0 for all but the last
         membrane, component d-1 for the last; remaining components merged."""
-        d = int(d)
+        d = _mub._index(d, "d")
         singles = tuple([0] * (d - 1) + [d - 1])
         return cls._from_singletons("paper", d, singles)
 
     @classmethod
     def symmetric_preset(cls, d: int) -> "MembraneLayout":
         """Singleton component j at membrane j, remaining components merged."""
-        d = int(d)
+        d = _mub._index(d, "d")
         return cls._from_singletons("symmetric", d, tuple(range(d)))
 
     @classmethod
     def finest(cls, d: int) -> "MembraneLayout":
-        d = int(d)
+        d = _mub._index(d, "d")
         per_outcome = tuple((i,) for i in range(d))
         return cls(name="finest", groups=tuple(per_outcome for _ in range(d)), singletons=None)
 
     @classmethod
     def merged(cls, d: int) -> "MembraneLayout":
-        d = int(d)
+        d = _mub._index(d, "d")
         everything = (tuple(range(d)),)
         return cls(name="merged", groups=tuple(everything for _ in range(d)), singletons=None)
 
@@ -127,7 +129,7 @@ class MembraneLayout:
 
 
 def check_layout(layout: MembraneLayout, d: int) -> MembraneLayout:
-    _layout_plan(layout, int(d))
+    _layout_plan(layout, _mub._index(d, "d"))
     return layout
 
 
@@ -159,8 +161,8 @@ def _first_failure(ok: np.ndarray):
 
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
     """Validated cycle configuration; defaults are uniform priors, the computational
-    membrane basis, and the paper preset with its checked plan from the per-d memo
-    that scans use. A layout the caller passes is checked here, once."""
+    membrane basis, and the paper preset with its checked plan from the standard
+    cycle of d that scans use. A layout the caller passes is checked here, once."""
     d = _check_d(d)
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
@@ -179,7 +181,11 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     gram_dev = float(_basis_deviations(basis[None])[0])
     if not gram_dev <= BASIS_TOL:
         raise ValueError(f"membrane basis not orthonormal: deviation {gram_dev:.3e}")
-    layout, plan = _paper_plan(d) if layout is None else (layout, _layout_plan(layout, d))
+    if layout is None:
+        standard = _standard_cycle(d)
+        layout, plan = standard.layout, standard.plan
+    else:
+        plan = _layout_plan(layout, d)
     cfg = CycleConfig(d=d, priors=priors, basis=basis, layout=layout)
     object.__setattr__(cfg, "_plan", plan)  # fills the frozen config's cached plan
     return cfg
@@ -188,10 +194,11 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
 # ------------------------------------------------------------ batched kernel
 #
 # Every cycle evaluation, single or scanned, runs through the helpers below on
-# a stack of membrane bases of shape (n, d, d). Work that does not depend on
-# the basis (layout checks, component validation, W2) is done once per stack;
-# the uniform-prior standard components and their W2, which scans and default
-# ``delta_w`` calls use, are built once per dimension.
+# a stack of membrane bases of shape (n, d, d). What does not depend on the
+# basis (priors, validated components, W2, zeta, the checked layout plan) is
+# one ``_Cycle`` record, built before the stack is evaluated. The standard
+# cycle of each d is built once and kept read-only; a scan or configuration
+# with a layout of its own copies it with that layout and plan swapped in.
 
 
 @dataclass(frozen=True)
@@ -205,21 +212,15 @@ class _LayoutPlan:
     singletons: np.ndarray | None
 
 
-def _layout_member(value) -> int:
-    """A component index of a layout: an int or a numpy integer, never a float."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"layout member {value!r} is not an integer") from None
-
-
 def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
     """Check a layout and turn it into index arrays, in one pass over its groups."""
     if len(layout.groups) != d:
         raise ValueError(f"layout covers {len(layout.groups)} outcomes, expected {d}")
     chambers = []
     for j, outcome_groups in enumerate(layout.groups):
-        chambers.extend((j, tuple(map(_layout_member, group))) for group in outcome_groups)
+        chambers.extend(
+            (j, tuple(_mub._index(i, "layout member") for i in group)) for group in outcome_groups
+        )
     sizes = np.array([len(group) for _, group in chambers], dtype=np.intp)
     flat_i = np.fromiter(
         (i for _, group in chambers for i in group), dtype=np.intp, count=int(sizes.sum())
@@ -238,27 +239,12 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
             raise ValueError("need one designated singleton per outcome")
         singleton_groups = {(j, group[0]) for j, group in chambers if len(group) == 1}
         for j, s in enumerate(layout.singletons):
-            if (j, _layout_member(s)) not in singleton_groups:
+            if (j, _mub._index(s, "layout member")) not in singleton_groups:
                 raise ValueError(f"designated singleton {s} is not a group of outcome {j}")
         singles = np.array([int(s) for s in layout.singletons])
     members = flat_i * d + flat_j
     starts = (np.cumsum(sizes) - sizes)[sizes > 0]
     return _LayoutPlan(tuple(chambers), members, starts, sizes > 0, singles)
-
-
-@functools.lru_cache(maxsize=None)
-def _paper_plan(d: int) -> tuple:
-    """The paper preset at a checked d and its plan: a scan's default layout.
-
-    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` pass the check, so
-    the memo holds at most 18 entries; its arrays are read-only and the
-    layout is frozen.
-    """
-    layout = MembraneLayout.paper_preset(d)
-    plan = _layout_plan(layout, d)
-    for array in (plan.members, plan.starts, plan.filled, plan.singletons):
-        array.setflags(write=False)
-    return layout, plan
 
 
 def _component_stack(components, d: int) -> np.ndarray:
@@ -330,11 +316,17 @@ class _Cycle:
 
     priors: np.ndarray
     components: np.ndarray
-    plan: _LayoutPlan
     w2: float
     zeta: float
-    #: The binary-entropy form applies (uniform priors, designated singletons).
-    hb_applies: bool
+    #: The priors are uniform to ``UNIFORM_TOL``.
+    uniform: bool
+    layout: MembraneLayout
+    plan: _LayoutPlan
+
+    @property
+    def hb_applies(self) -> bool:
+        """The binary-entropy form applies (uniform priors, designated singletons)."""
+        return self.uniform and self.plan.singletons is not None
 
 
 @dataclass(frozen=True)
@@ -353,37 +345,40 @@ class _CycleBatch:
     residual: np.ndarray | None
 
 
-def _cycle_parts(d: int, priors: np.ndarray, components) -> tuple:
-    """Priors, validated component stack and W2: the part of a cycle that
-    depends on neither the membrane basis nor the layout."""
+def _cycle(
+    d: int, priors: np.ndarray, components, layout: MembraneLayout, plan: _LayoutPlan
+) -> _Cycle:
+    """A cycle from checked priors and a checked layout plan: validates the
+    components and computes W2 and zeta."""
     comps = _component_stack(components, d)
-    return priors, comps, _w2(priors, comps)
-
-
-@functools.lru_cache(maxsize=None)
-def _uniform_parts(d: int) -> tuple:
-    """``_cycle_parts`` of the uniform-prior standard components, once per d.
-
-    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` have components, so
-    the memo holds at most 18 entries; its arrays are read-only.
-    """
-    priors, comps, w2 = _cycle_parts(d, np.full(d, 1.0 / d), component_states(d))
-    priors.setflags(write=False)
-    comps.setflags(write=False)
-    return priors, comps, w2
-
-
-def _prepare_cycle(d: int, parts: tuple, plan: _LayoutPlan) -> _Cycle:
-    priors, comps, w2 = parts
-    uniform = bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL)
     return _Cycle(
         priors=priors,
         components=comps,
-        plan=plan,
-        w2=w2,
+        w2=_w2(priors, comps),
         zeta=mub_pair_bound(d),
-        hb_applies=uniform and plan.singletons is not None,
+        uniform=bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL),
+        layout=layout,
+        plan=plan,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_cycle(d: int) -> _Cycle:
+    """The standard cycle at a checked d: uniform priors, the standard
+    components and the paper preset.
+
+    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` have components, so
+    the memo holds at most 18 records; every array in a record is read-only
+    and its layout is frozen.
+    """
+    layout = MembraneLayout.paper_preset(d)
+    plan = _layout_plan(layout, d)
+    cycle = _cycle(d, np.full(d, 1.0 / d), component_states(d), layout, plan)
+    for array in (
+        cycle.priors, cycle.components, plan.members, plan.starts, plan.filled, plan.singletons
+    ):
+        array.setflags(write=False)
+    return cycle
 
 
 def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
@@ -509,12 +504,13 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     hypothetical bound for every singleton argument) additionally needs
     uniform priors and a layout that designates singleton components.
     """
-    if components is None and cfg.priors.tobytes() == _uniform_parts(cfg.d)[0].tobytes():
-        parts = _uniform_parts(cfg.d)  # the bytes the lines below would build
+    standard = _standard_cycle(cfg.d)
+    if components is None and cfg.priors.tobytes() == standard.priors.tobytes():
+        # the bytes that _cycle would build, with this configuration's layout
+        cycle = dataclasses.replace(standard, layout=cfg.layout, plan=cfg._plan)
     else:
         components = component_states(cfg.d) if components is None else list(components)
-        parts = _cycle_parts(cfg.d, cfg.priors, components)
-    cycle = _prepare_cycle(cfg.d, parts, cfg._plan)
+        cycle = _cycle(cfg.d, cfg.priors, components, cfg.layout, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(
             "the binary-entropy form needs uniform priors and a layout with "
@@ -570,7 +566,7 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
     matrix with the R-diagonal phases folded back in."""
-    return _haar_bases(int(d), [rng])[0]
+    return _haar_bases(_mub._index(d, "d"), [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -752,8 +748,8 @@ def scan_bases(
     the spawned SeedSequences. Samples run through the batched kernel in
     chunks of ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn,
     and their count must be an integer. The default layout, the paper
-    preset, is built and checked once per d; a layout the caller passes is
-    checked on each call.
+    preset, comes with the standard cycle of d, built once; a layout the
+    caller passes is checked on each call.
     """
     try:
         n_samples = operator.index(n_samples)
@@ -765,9 +761,9 @@ def scan_bases(
         raise ValueError(f"n_samples={n_samples} exceeds the supported maximum {MAX_SCAN_SAMPLES}")
     seed = _scan_seed(seed)
     d = _check_d(d)
-    layout, plan = _paper_plan(d) if layout is None else (layout, _layout_plan(layout, d))
-    cycle = _prepare_cycle(d, _uniform_parts(d), plan)
-    zeta = cycle.zeta
+    cycle = _standard_cycle(d)
+    if layout is not None:
+        cycle = dataclasses.replace(cycle, layout=layout, plan=_layout_plan(layout, d))
 
     prefix = _spawn_prefix(seed)
     child_seed = _child_seed_type()
@@ -799,8 +795,8 @@ def scan_bases(
         d=d,
         seed=seed,
         n_samples=n_samples,
-        layout_name=layout.name,
-        zeta=zeta,
+        layout_name=cycle.layout.name,
+        zeta=cycle.zeta,
         delta_w_min=float(deltas.min()),
         delta_w_max=float(deltas.max()),
         delta_w_mean=float(deltas.mean()),

@@ -85,7 +85,7 @@ _NOT_PRIME = "d must be prime (got {})"  # for callers that take d = 2 (qubit=Tr
 def _check_dim(d: int, qubit: bool = False, not_prime: str = _NOT_ODD_PRIME) -> int:
     """d as an int if it is an odd prime up to MAX_MUB_DIM, or 2 with ``qubit``;
     else raises ``not_prime`` formatted with d. Cheap: run it before O(d^2) work."""
-    d = int(d)
+    d = _index(d, "d")
     if not is_prime(d) or (d == 2 and not qubit):
         raise ValueError(not_prime.format(d))
     if d > MAX_MUB_DIM:

@@ -2,7 +2,9 @@
 
 The digests were recorded before the package began loading its submodules on
 first use and before ``scan-alpha`` built its quadrature grid once per call;
-both changes must leave every byte of these outputs as it was.
+the three ``cycle`` runs with non-uniform priors or the symmetric layout were
+recorded before the standard cycle of each d became one record. Each of
+these changes must leave every byte of these outputs as it was.
 """
 
 import hashlib
@@ -21,6 +23,15 @@ CLI_GOLDEN = {
     ("cycle", "--d", "31"): "64d090bc81a247f329ac03d676fb313df71e2b7d01cc302c27022ad308fe06c3",
     ("cycle", "--d", "3", "--basis", "random", "--samples", "20", "--seed", "5"): (
         "f568643b052380206c6438a49d0217254a8293aaeaba90a225ea46d3ed548688"
+    ),
+    ("cycle", "--d", "3", "--priors", "0.5", "0.25", "0.25"): (
+        "e9376ce1fd77a48ad417e778b6c076fade60ed6574f59d0fb0f2ffbb71e44233"
+    ),
+    ("cycle", "--d", "5", "--layout", "symmetric", "--samples", "4", "--per-sample"): (
+        "9890a6f4b30dc9a41c681e762d8edf1a0b616f1fdbcd842d6064e55b94191812"
+    ),
+    ("cycle", "--d", "7", "--layout", "symmetric"): (
+        "8cb76db027a6754c3b5387b352a5c0e271cd62b581cffb565cbe942de036a211"
     ),
 }
 

@@ -1,59 +1,76 @@
-"""The per-dimension memo of a scan's basis-independent cycle, and the layout plan.
+"""The standard cycle of each dimension, and the layout plan.
 
-``scan_bases`` takes its uniform priors, component stack and W2 from a memo
-keyed by d. These tests check that a cold and a warm memo give the same
-report, that the memo cannot be changed from outside, and that the one-pass
-layout plan gives the arrays and error messages recorded from the earlier
-two-pass ``check_layout``/``_layout_plan``.
+``_standard_cycle(d)`` is one read-only record per d: uniform priors, the
+component stack, W2, zeta, the paper layout and its plan. Scans, default
+configurations and default ``delta_w`` calls take it. These tests check that
+a cold and a warm record give the same report, that the record equals a
+fresh build and cannot be changed from outside, that it is neither rebuilt
+nor re-planned where it is taken, and that the one-pass layout plan gives
+the arrays and error messages recorded from the earlier two-pass
+``check_layout``/``_layout_plan``.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from finecert import cycle, mub
+from finecert.bounds import mub_pair_bound
 from finecert.cycle import MembraneLayout, check_layout, component_states, scan_bases
 
 LAYOUTS = ("paper_preset", "symmetric_preset", "finest", "merged")
+DIMENSIONS = [2] + [p for p in range(3, 62) if mub.is_prime(p)]
 
 
 @pytest.mark.parametrize("d, n", [(2, 9), (3, 40), (31, 70)])
 @pytest.mark.parametrize("factory", LAYOUTS)
 def test_cold_memo_scan_equals_warm_memo_scan(d, n, factory):
     layout = getattr(MembraneLayout, factory)(d)
-    cycle._uniform_parts.cache_clear()
+    cycle._standard_cycle.cache_clear()
     cold = scan_bases(d, n, 17, layout=layout, keep_samples=True).as_dict()
-    assert cycle._uniform_parts.cache_info().currsize == 1
+    assert cycle._standard_cycle.cache_info().currsize == 1
     warm = scan_bases(d, n, 17, layout=layout, keep_samples=True).as_dict()
-    assert cycle._uniform_parts.cache_info().hits >= 1
+    assert cycle._standard_cycle.cache_info().hits >= 1
     assert warm == cold
 
 
+def record_arrays(record):
+    plan = record.plan
+    return [record.priors, record.components, plan.members, plan.starts, plan.filled, plan.singletons]
+
+
 def test_memo_arrays_are_read_only():
-    priors, comps, w2 = cycle._uniform_parts(5)
-    assert isinstance(w2, float)
-    for array in (priors, comps):
+    record = cycle._standard_cycle(5)
+    assert isinstance(record.w2, float) and isinstance(record.zeta, float)
+    assert record.uniform is True and record.hb_applies is True
+    for array in record_arrays(record):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 0.0
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.w2 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.layout.groups = ()
 
 
 def test_memo_matches_per_call_parts():
-    priors, comps, w2 = cycle._uniform_parts(7)
-    fresh = cycle._cycle_parts(7, np.full(7, 1.0 / 7), component_states(7))
-    assert priors.tobytes() == fresh[0].tobytes()
-    assert comps.tobytes() == fresh[1].tobytes()
-    assert w2 == fresh[2]
+    record = cycle._standard_cycle(7)
+    cfg = cycle.cycle_config(7)
+    assert record.priors.tobytes() == cfg.priors.tobytes()
+    assert record.components.tobytes() == np.asarray(component_states(7)).tobytes()
+    assert record.w2 == cycle.work_retrieval_w2(cfg, component_states(7))
+    assert record.zeta == mub_pair_bound(7)
 
 
 def test_mutating_component_states_does_not_change_a_later_scan():
-    cycle._uniform_parts.cache_clear()
+    cycle._standard_cycle.cache_clear()
     before = scan_bases(3, 20, 4, keep_samples=True).as_dict()
     states = component_states(3)
     states[0][:] = 0.0
     states[1] = np.eye(3)
-    cycle._uniform_parts.cache_clear()
+    cycle._standard_cycle.cache_clear()
     states = component_states(3)
     states[2] *= 2.0
     assert scan_bases(3, 20, 4, keep_samples=True).as_dict() == before
@@ -61,10 +78,12 @@ def test_mutating_component_states_does_not_change_a_later_scan():
 
 @pytest.mark.parametrize("d", [4, 67, 1])
 def test_memo_does_not_cache_failures(d):
-    cycle._uniform_parts.cache_clear()
+    cycle._standard_cycle.cache_clear()
     with pytest.raises(ValueError):
         scan_bases(d, 3, 0)
-    assert cycle._uniform_parts.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        cycle.cycle_config(d)
+    assert cycle._standard_cycle.cache_info().currsize == 0
 
 
 # Messages recorded from the two-pass check_layout.
@@ -181,37 +200,36 @@ def test_layout_plan_unchanged(d, factory):
     assert plan.singletons is None or plan.singletons.dtype == np.array([0]).dtype
 
 
-@pytest.mark.parametrize("d", [2, 3, 31])
+@pytest.mark.parametrize("d", DIMENSIONS)
 def test_paper_plan_memo_equals_a_fresh_plan_and_is_read_only(d):
-    layout, plan = cycle._paper_plan(d)
-    assert layout == MembraneLayout.paper_preset(d)
-    fresh = cycle._layout_plan(layout, d)
-    assert plan.chambers == fresh.chambers
-    for got, want in [
-        (plan.members, fresh.members),
-        (plan.starts, fresh.starts),
-        (plan.filled, fresh.filled),
-        (plan.singletons, fresh.singletons),
-    ]:
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    record = cycle._standard_cycle(d)
+    layout = MembraneLayout.paper_preset(d)
+    plan = cycle._layout_plan(layout, d)
+    fresh = cycle._cycle(d, np.full(d, 1.0 / d), component_states(d), layout, plan)
+    assert record.layout == layout and record.plan.chambers == fresh.plan.chambers
+    assert (record.w2, record.zeta, record.uniform) == (fresh.w2, fresh.zeta, fresh.uniform)
+    for got, want in zip(record_arrays(record), record_arrays(fresh)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
-    assert cycle._paper_plan(d)[1] is plan
+    assert cycle._standard_cycle(d) is record
 
 
 def test_default_layout_scans_reuse_the_plan(monkeypatch):
-    cycle._paper_plan.cache_clear()
+    cycle._standard_cycle.cache_clear()
     default = scan_bases(5, 6, 3, keep_samples=True)
 
-    def no_plan(layout, d):
-        raise AssertionError("the default layout was planned again")
+    def no_plan(*args):
+        raise AssertionError("the default layout or cycle was built again")
 
     monkeypatch.setattr(cycle, "_layout_plan", no_plan)
+    monkeypatch.setattr(cycle, "_cycle", no_plan)
     assert scan_bases(5, 6, 3, keep_samples=True) == default
-    assert cycle._paper_plan.cache_info().currsize == 1
+    assert cycle._standard_cycle.cache_info().currsize == 1
 
 
 def test_given_layouts_are_checked_on_every_call(monkeypatch):
-    cycle._paper_plan(3)
+    cycle._standard_cycle(3)
     calls = []
     plan = cycle._layout_plan
 
@@ -222,7 +240,7 @@ def test_given_layouts_are_checked_on_every_call(monkeypatch):
     monkeypatch.setattr(cycle, "_layout_plan", counted_plan)
     paper = MembraneLayout.paper_preset(3)
     assert scan_bases(3, 4, 1, layout=paper) == scan_bases(3, 4, 1)
-    memo = cycle._paper_plan(3)[0]
+    memo = cycle._standard_cycle(3).layout
     assert scan_bases(3, 4, 1, layout=memo) == scan_bases(3, 4, 1)
     listed = MembraneLayout("paper", [[list(g) for g in groups] for groups in paper.groups])
     assert scan_bases(3, 4, 1, layout=listed).delta_w_mean == scan_bases(3, 4, 1).delta_w_mean
@@ -234,19 +252,20 @@ def test_given_layouts_are_checked_on_every_call(monkeypatch):
 
 def forbid_replanning(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the default layout was built or planned again")
+        raise AssertionError("the default layout or cycle was built or planned again")
 
     monkeypatch.setattr(cycle, "_layout_plan", forbidden)
+    monkeypatch.setattr(cycle, "_cycle", forbidden)
     monkeypatch.setattr(MembraneLayout, "paper_preset", classmethod(forbidden))
 
 
 @pytest.mark.parametrize("d", [2, 3, 31])
 def test_default_config_takes_the_memoized_preset_and_plan(monkeypatch, d):
     fresh = cycle.delta_w(cycle.cycle_config(d, layout=MembraneLayout.paper_preset(d))).as_dict()
-    layout, plan = cycle._paper_plan(d)
+    record = cycle._standard_cycle(d)
     forbid_replanning(monkeypatch)
     cfg = cycle.cycle_config(d)
-    assert cfg.layout is layout and cfg._plan is plan
+    assert cfg.layout is record.layout and cfg._plan is record.plan
     assert cycle.delta_w(cfg).as_dict() == fresh
 
 
@@ -261,31 +280,29 @@ def test_cli_paper_layout_takes_the_memo(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
-DIMENSIONS = [2] + [p for p in range(3, 62) if mub.is_prime(p)]
-
-
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_default_delta_w_takes_the_memo_with_the_same_bytes(monkeypatch, d):
     cfg = cycle.cycle_config(d)
     fresh = cycle.delta_w(cfg, components=component_states(d)).as_dict()  # built per call
-    cycle._uniform_parts(d)
+    cycle._standard_cycle(d)
 
     def forbidden(*args):
         raise AssertionError("the standard cycle parts were built again")
 
-    monkeypatch.setattr(cycle, "_cycle_parts", forbidden)
+    monkeypatch.setattr(cycle, "_cycle", forbidden)
     assert cycle.delta_w(cfg).as_dict() == fresh
 
 
 def test_delta_w_builds_parts_when_priors_or_components_differ(monkeypatch):
     built = []
-    parts = cycle._cycle_parts
+    build = cycle._cycle
+    cycle._standard_cycle(5)
 
-    def counted(d, priors, components):
+    def counted(d, priors, components, layout, plan):
         built.append(priors.tobytes())
-        return parts(d, priors, components)
+        return build(d, priors, components, layout, plan)
 
-    monkeypatch.setattr(cycle, "_cycle_parts", counted)
+    monkeypatch.setattr(cycle, "_cycle", counted)
     uniform = np.full(5, 0.2)
     nudged = uniform.copy()
     nudged[0] = np.nextafter(0.2, 1.0)  # uniform to the tolerance, not to the byte

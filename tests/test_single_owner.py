@@ -2,6 +2,7 @@
 cycle configuration builds its layout plan once.
 
 These tests pin that an unsupported d is rejected before any O(d^2) work,
+that a non-integer d is rejected at every entry point rather than truncated,
 that a configuration's checked plan is built once and never carried stale
 into a copy, that layout members must be integers, and that component i of
 the cycle is the certainty operator of the pair ensemble (z:i, 0:i) byte for
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from finecert import cycle
-from finecert.bounds import certainty_operator, mub_pair_ensemble, pauli_pair_ensemble
+from finecert.bounds import certainty_operator, mub_pair_bound, mub_pair_ensemble, pauli_pair_ensemble
 from finecert.cli import main
 from finecert.cycle import (
     CycleConfig,
@@ -25,10 +26,12 @@ from finecert.cycle import (
     component_states,
     cycle_config,
     delta_w,
+    haar_random_basis,
     scan_bases,
     singleton_arguments,
     work_extraction_w1,
 )
+from finecert.mub import mub_family
 
 OVERSIZED = "d=1009 exceeds the supported maximum 64"
 
@@ -74,6 +77,42 @@ def test_cli_cycle_rejects_d_before_building_a_preset(capsys, argv, message):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "call, d, prime",
+    [
+        (cycle_config, 5.5, 5),
+        (lambda d: scan_bases(d, 2, 0), 3.7, 3),
+        (mub_family, 7.9, 7),
+        (mub_pair_ensemble, 5.9, 5),
+        (mub_pair_bound, 5.5, 5),
+        (mub_pair_bound, "5", 5),
+        (lambda d: check_layout(MembraneLayout.paper_preset(3), d), 3.0, 3),
+        (lambda d: haar_random_basis(d, np.random.default_rng(0)), 3.5, 3),
+        (MembraneLayout.paper_preset, 5.5, 5),
+        (MembraneLayout.symmetric_preset, 5.5, 5),
+        (MembraneLayout.finest, 5.5, 5),
+        (MembraneLayout.merged, 5.5, 5),
+    ],
+    ids=[
+        "cycle_config",
+        "scan_bases",
+        "mub_family",
+        "mub_pair_ensemble",
+        "mub_pair_bound",
+        "mub_pair_bound-text",
+        "check_layout",
+        "haar_random_basis",
+        "paper_preset",
+        "symmetric_preset",
+        "finest",
+        "merged",
+    ],
+)
+def test_non_integer_d_is_rejected_and_numpy_integers_pass(call, d, prime):
+    assert raises_message(lambda: call(d)) == f"d {d!r} is not an integer"
+    call(np.int64(prime))
+
+
 def count_plans(monkeypatch):
     calls = []
     build = cycle._layout_plan
@@ -88,6 +127,7 @@ def count_plans(monkeypatch):
 
 @pytest.mark.parametrize("d, factory", [(61, "finest"), (5, "finest"), (5, "symmetric_preset")])
 def test_config_builds_its_layout_plan_once(monkeypatch, d, factory):
+    cycle._standard_cycle(d)  # plans the paper preset once per process; delta_w takes it
     calls = count_plans(monkeypatch)
     layout = getattr(MembraneLayout, factory)(d)
     cfg = cycle_config(d, layout=layout)

@@ -82,7 +82,7 @@ def scan_with_bases(monkeypatch, d, n, seed, layout):
         stacks.append(bases.copy())
         return kernel(cyc, bases)
 
-    cycle._uniform_parts.cache_clear()
+    cycle._standard_cycle.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(cycle, "_cycle_kernel", spy)
         report = scan_bases(d, n, seed, layout=layout, keep_samples=True)
