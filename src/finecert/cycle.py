@@ -364,13 +364,15 @@ def _cycle(
 
 @functools.lru_cache(maxsize=None)
 def _standard_cycle(d: int) -> _Cycle:
-    """The standard cycle at a checked d: uniform priors, the standard
-    components and the paper preset.
+    """The standard cycle of d: uniform priors, the standard components and
+    the paper preset.
 
+    d is checked first: a directly built config's d reaches here unchecked.
     Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` have components, so
     the memo holds at most 18 records; every array in a record is read-only
     and its layout is frozen.
     """
+    d = _check_d(d)
     layout = MembraneLayout.paper_preset(d)
     plan = _layout_plan(layout, d)
     cycle = _cycle(d, np.full(d, 1.0 / d), component_states(d), layout, plan)
@@ -504,12 +506,12 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     hypothetical bound for every singleton argument) additionally needs
     uniform priors and a layout that designates singleton components.
     """
-    standard = _standard_cycle(cfg.d)
-    if components is None and cfg.priors.tobytes() == standard.priors.tobytes():
+    standard = None if components is not None else _standard_cycle(cfg.d)
+    if standard is not None and cfg.priors.tobytes() == standard.priors.tobytes():
         # the bytes that _cycle would build, with this configuration's layout
         cycle = dataclasses.replace(standard, layout=cfg.layout, plan=cfg._plan)
     else:
-        components = component_states(cfg.d) if components is None else list(components)
+        components = standard.components if components is None else list(components)
         cycle = _cycle(cfg.d, cfg.priors, components, cfg.layout, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         raise ValueError(

@@ -312,3 +312,10 @@ def test_delta_w_builds_parts_when_priors_or_components_differ(monkeypatch):
     assert len(built) == 3 and built[0] == nudged.tobytes() and built[1] == uniform.tobytes()
     cycle.delta_w(cycle.cycle_config(5, priors=[0.2] * 5), counterfactual_zeta=0.9)
     assert len(built) == 3
+
+
+def test_delta_w_with_given_components_does_not_build_the_record():
+    cycle._standard_cycle.cache_clear()
+    cfg = cycle.cycle_config(5, layout=MembraneLayout.finest(5))
+    cycle.delta_w(cfg, components=component_states(5))
+    assert cycle._standard_cycle.cache_info().currsize == 0

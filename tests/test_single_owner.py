@@ -54,8 +54,14 @@ def raises_message(fn):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: scan_bases(1009, 3, 0), lambda: cycle_config(1009)],
-    ids=["scan_bases", "cycle_config"],
+    [
+        lambda: scan_bases(1009, 3, 0),
+        lambda: cycle_config(1009),
+        lambda: delta_w(
+            CycleConfig(d=1009, priors=np.ones(1), basis=np.eye(1), layout=MembraneLayout.finest(1))
+        ),
+    ],
+    ids=["scan_bases", "cycle_config", "delta_w-direct-config"],
 )
 def test_oversized_d_is_rejected_before_any_quadratic_work(call):
     peak, message = peak_bytes(lambda: raises_message(call))
@@ -127,11 +133,11 @@ def count_plans(monkeypatch):
 
 @pytest.mark.parametrize("d, factory", [(61, "finest"), (5, "finest"), (5, "symmetric_preset")])
 def test_config_builds_its_layout_plan_once(monkeypatch, d, factory):
-    cycle._standard_cycle(d)  # plans the paper preset once per process; delta_w takes it
+    cycle._standard_cycle.cache_clear()
     calls = count_plans(monkeypatch)
     layout = getattr(MembraneLayout, factory)(d)
     cfg = cycle_config(d, layout=layout)
-    assert len(calls) == 1
+    assert calls == [layout.name]
     comps = component_states(d)
     delta_w(cfg)
     chamber_distribution(cfg, comps)
@@ -141,7 +147,10 @@ def test_config_builds_its_layout_plan_once(monkeypatch, d, factory):
             singleton_arguments(cfg, comps)
     else:
         singleton_arguments(cfg, comps)
-    assert len(calls) == 1
+    # the one other plan is the paper preset of the standard record, built by
+    # the first default delta_w for its components and W2
+    assert calls == [layout.name, "paper"]
+    assert cycle._standard_cycle.cache_info().currsize == 1
 
 
 def test_replaced_layout_gets_its_own_plan():
