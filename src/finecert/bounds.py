@@ -27,6 +27,7 @@ from . import qubit as _qubit
 from .numerics import (
     DEGENERACY_TOL,
     PROBABILITY_SUM_TOL,
+    check_index,
     check_state_vector,
     fix_global_phase,
     hermitian_eig,
@@ -228,6 +229,26 @@ def _grid_amplitudes(x_trig, phases, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(prod: np.ndarray) -> np.ndarray:
+    """``np.sum(prod, axis=1).real`` of an (n, d) complex block, d <= MAX_GRID_DIM,
+    bit for bit, added a column at a time.
+
+    Complex addition works part by part, so adding the real parts in numpy's
+    order gives numpy's real part. numpy 2.4 adds a row left to right for
+    d <= 3, as (p0 + p1) + (p2 + p3) at d = 4, and as that plus p4 at d = 5;
+    a row of -0.0 sums to +0.0. A test pins this order against ``np.sum``.
+    """
+    p = prod.real
+    d = p.shape[1]
+    values = p[:, 0] + p[:, 1]
+    if d >= 4:
+        values += p[:, 2] + p[:, 3]
+    for m in range(4 if d >= 4 else 2, d):
+        values += p[:, m]
+    values += 0.0  # turns only -0.0 into +0.0
+    return values
+
+
 def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearchResult:
     """Exhaustive scan over the hyperspherical angle grid (independent oracle).
 
@@ -239,7 +260,11 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     values are taken once per call, and every block's columns are lookups
     into them. Rows are evaluated in blocks of at most ``GRID_CHUNK_BYTES``
     of amplitudes (one innermost-axis line at the least, the whole grid when
-    it fits), so memory does not grow with the grid.
+    it fits), so memory does not grow with the grid. A block's values, the
+    real parts of its rows' sums of conj(psi) * (A psi), are added a column at
+    a time in numpy's own order (``_row_sums``): the real part of a complex
+    sum depends on the real parts alone, so this has the bits of
+    ``np.sum(prod, axis=1).real`` without numpy's reduction loop per row.
     """
     d = ens.dim
     if d > MAX_GRID_DIM:
@@ -248,7 +273,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
         )
     if d < 2:
         raise ValueError("grid search needs dimension >= 2")
-    steps = int(steps_per_angle)
+    steps = check_index(steps_per_angle, "steps_per_angle")
     if steps < 8:
         raise ValueError(f"steps_per_angle must be >= 8 (got {steps})")
     total = steps ** (2 * (d - 1))
@@ -284,7 +309,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
         np.matmul(amps, op_t, out=prod)
         # conjugated in place: the kernel rewrites every entry of the next block
         np.multiply(np.conjugate(amps, out=amps), prod, out=prod)
-        values = np.sum(prod, axis=1).real
+        values = _row_sums(prod)
         pos = int(np.argmax(values))
         if float(values[pos]) > best_value:
             best_value = float(values[pos])
@@ -308,7 +333,7 @@ def pauli_pair_ensemble(axis1: str = "x", axis2: str = "z", outcomes=(0, 0)) -> 
     """Equal-weight qubit ensemble of one outcome from each of two Pauli bases."""
     if axis1 == axis2:
         raise ValueError("the two Pauli measurements must differ")
-    o1, o2 = (int(o) for o in outcomes)
+    o1, o2 = (check_index(o, "outcome") for o in outcomes)
     return measurement_ensemble(
         [
             (f"{axis1}:{o1}", 0.5, _qubit.pauli_outcome_projector(axis1, o1)),
@@ -319,7 +344,7 @@ def pauli_pair_ensemble(axis1: str = "x", axis2: str = "z", outcomes=(0, 0)) -> 
 
 def pauli_triple_ensemble(outcomes=(0, 0, 0)) -> MeasurementEnsemble:
     """Equal-weight qubit ensemble of one outcome from each Pauli basis."""
-    outcomes = tuple(int(o) for o in outcomes)
+    outcomes = tuple(check_index(o, "outcome") for o in outcomes)
     if len(outcomes) != 3:
         raise ValueError("need one outcome for each of the axes x, y, z")
     third = 1.0 / 3.0
@@ -362,7 +387,7 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
 
 def mub_pair_bound(d: int) -> float:
     """Closed-form equal-weight pair bound 1/2 + 1/(2 sqrt d) for prime d."""
-    d = _mub._index(d, "d")
+    d = check_index(d, "d")
     if not _mub.is_prime(d):
         raise ValueError(_mub._NOT_PRIME.format(d))
     return 0.5 + 0.5 / np.sqrt(d)

@@ -46,7 +46,13 @@ import numpy as np
 
 from . import mub as _mub
 from .bounds import mub_pair_bound
-from .numerics import PROBABILITY_SUM_TOL, binary_entropy, shannon_entropy, von_neumann_entropy
+from .numerics import (
+    PROBABILITY_SUM_TOL,
+    binary_entropy,
+    check_index,
+    shannon_entropy,
+    von_neumann_entropy,
+)
 
 BASIS_TOL = 1e-10
 UNIFORM_TOL = 1e-12
@@ -64,7 +70,7 @@ def component_state(d: int, i: int) -> np.ndarray:
     entropy H_b(1/2 + 1/(2 sqrt d)). It is row i of ``component_states(d)``.
     """
     d = _check_d(d)
-    i = _mub._index(i, "component index")
+    i = check_index(i, "component index")
     if not 0 <= i < d:
         raise ValueError(f"component index {i} outside 0..{d - 1}")
     return component_states(d)[i]
@@ -100,25 +106,25 @@ class MembraneLayout:
     def paper_preset(cls, d: int) -> "MembraneLayout":
         """One singleton per outcome: component 0 for all but the last
         membrane, component d-1 for the last; remaining components merged."""
-        d = _mub._index(d, "d")
+        d = check_index(d, "d")
         singles = tuple([0] * (d - 1) + [d - 1])
         return cls._from_singletons("paper", d, singles)
 
     @classmethod
     def symmetric_preset(cls, d: int) -> "MembraneLayout":
         """Singleton component j at membrane j, remaining components merged."""
-        d = _mub._index(d, "d")
+        d = check_index(d, "d")
         return cls._from_singletons("symmetric", d, tuple(range(d)))
 
     @classmethod
     def finest(cls, d: int) -> "MembraneLayout":
-        d = _mub._index(d, "d")
+        d = check_index(d, "d")
         per_outcome = tuple((i,) for i in range(d))
         return cls(name="finest", groups=tuple(per_outcome for _ in range(d)), singletons=None)
 
     @classmethod
     def merged(cls, d: int) -> "MembraneLayout":
-        d = _mub._index(d, "d")
+        d = check_index(d, "d")
         everything = (tuple(range(d)),)
         return cls(name="merged", groups=tuple(everything for _ in range(d)), singletons=None)
 
@@ -129,7 +135,7 @@ class MembraneLayout:
 
 
 def check_layout(layout: MembraneLayout, d: int) -> MembraneLayout:
-    _layout_plan(layout, _mub._index(d, "d"))
+    _layout_plan(layout, check_index(d, "d"))
     return layout
 
 
@@ -219,7 +225,7 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
     chambers = []
     for j, outcome_groups in enumerate(layout.groups):
         chambers.extend(
-            (j, tuple(_mub._index(i, "layout member") for i in group)) for group in outcome_groups
+            (j, tuple(check_index(i, "layout member") for i in group)) for group in outcome_groups
         )
     sizes = np.array([len(group) for _, group in chambers], dtype=np.intp)
     flat_i = np.fromiter(
@@ -239,7 +245,7 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
             raise ValueError("need one designated singleton per outcome")
         singleton_groups = {(j, group[0]) for j, group in chambers if len(group) == 1}
         for j, s in enumerate(layout.singletons):
-            if (j, _mub._index(s, "layout member")) not in singleton_groups:
+            if (j, check_index(s, "layout member")) not in singleton_groups:
                 raise ValueError(f"designated singleton {s} is not a group of outcome {j}")
         singles = np.array([int(s) for s in layout.singletons])
     members = flat_i * d + flat_j
@@ -568,7 +574,7 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
     matrix with the R-diagonal phases folded back in."""
-    return _haar_bases(_mub._index(d, "d"), [rng])[0]
+    return _haar_bases(check_index(d, "d"), [rng])[0]
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ d = 2 only ``"z"`` and 0).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qubit as _qubit
+from .numerics import check_index
 
 MAX_MUB_DIM = 64
 
@@ -85,7 +85,7 @@ _NOT_PRIME = "d must be prime (got {})"  # for callers that take d = 2 (qubit=Tr
 def _check_dim(d: int, qubit: bool = False, not_prime: str = _NOT_ODD_PRIME) -> int:
     """d as an int if it is an odd prime up to MAX_MUB_DIM, or 2 with ``qubit``;
     else raises ``not_prime`` formatted with d. Cheap: run it before O(d^2) work."""
-    d = _index(d, "d")
+    d = check_index(d, "d")
     if not is_prime(d) or (d == 2 and not qubit):
         raise ValueError(not_prime.format(d))
     if d > MAX_MUB_DIM:
@@ -104,27 +104,27 @@ def _roots(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int: an int or a numpy integer, never a float, which
-    ``int()`` would truncate. Anything else raises a ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
-
-
 def _check_basis_index(d: int, k) -> int:
-    k = _index(k, "basis index")
+    k = check_index(k, "basis index")
     if not 0 <= k < d:
         raise ValueError(f"basis index k={k} outside 0..{d - 1}")
     return k
 
 
-def _quadratic_rows(roots: np.ndarray, k: int, j) -> np.ndarray:
-    """Vector j (an int, or a 1-d array of ints for several rows) of basis k."""
-    d = roots.size
+def _phase_terms(d: int, j):
+    """The two reduced terms of the exponent k*l^2 - 2*j*l of vector j (an int,
+    or a 1-d array of ints for several rows): l^2 mod d and 2*j*l mod d. Neither
+    depends on the basis k, so a family takes them once."""
     l = np.arange(d)
-    return roots[(k * l * l - 2 * np.multiply.outer(j, l)) % d]
+    return l * l % d, 2 * np.multiply.outer(j, l) % d
+
+
+def _quadratic_rows(roots: np.ndarray, k: int, terms, out=None) -> np.ndarray:
+    """The rows of basis k whose ``_phase_terms`` are ``terms``, written to
+    ``out`` if given; the exponent is reduced mod d before the lookup."""
+    square, linear = terms
+    # the indices are reduced already; "wrap" lets take write to out unbuffered
+    return np.take(roots, (k * square - linear) % roots.size, out=out, mode="wrap")
 
 
 def _member_rows(d: int, i: int, j) -> np.ndarray:
@@ -134,12 +134,12 @@ def _member_rows(d: int, i: int, j) -> np.ndarray:
         return np.eye(d, dtype=complex)[j]
     if d == 2:
         return _qubit.pauli_eigenbasis("x")[j]
-    return _quadratic_rows(_roots(d), i - 1, j)
+    return _quadratic_rows(_roots(d), i - 1, _phase_terms(d, j))
 
 
 def outcome_index(d: int, j) -> int:
     """Validated outcome (vector) index j in 0..d-1."""
-    index = _index(j, "outcome index")
+    index = check_index(j, "outcome index")
     if not 0 <= index < d:
         if d == 2:  # the qubit pair's message shows j as given
             raise ValueError(f"outcome index {j} outside 0..1")
@@ -152,12 +152,12 @@ def basis_index(d: int, label) -> int:
     if isinstance(label, str) and label.lower() == Z_LABEL:
         return 0
     if d == 2:
-        if not isinstance(label, str) and _index(label, "basis label") == 0:
+        if not isinstance(label, str) and check_index(label, "basis label") == 0:
             return 1
         raise ValueError(f"d=2 supports basis labels 'z' and 0 only (got {label!r})")
     if isinstance(label, str):
         raise ValueError(f"unknown basis label {label!r}; use 'z' or 0..{d - 1}")
-    k = _index(label, "basis label")
+    k = check_index(label, "basis label")
     if not 0 <= k < d:
         raise ValueError(f"basis label {k} outside 0..{d - 1}")
     return 1 + k
@@ -172,14 +172,14 @@ def mub_vector(d: int, k: int, j: int) -> np.ndarray:
     d = _check_dim(d)
     k = _check_basis_index(d, k)
     j = outcome_index(d, j)
-    return _quadratic_rows(_roots(d), k, j)
+    return _quadratic_rows(_roots(d), k, _phase_terms(d, j))
 
 
 def quadratic_basis(d: int, k: int) -> np.ndarray:
     """All d vectors of quadratic-phase basis k, stacked as rows."""
     d = _check_dim(d)
     k = _check_basis_index(d, k)
-    return _quadratic_rows(_roots(d), k, np.arange(d))
+    return _quadratic_rows(_roots(d), k, _phase_terms(d, np.arange(d)))
 
 
 @dataclass(frozen=True)
@@ -211,16 +211,16 @@ class MubFamily:
 def mub_family(d: int) -> MubFamily:
     """Computational basis plus the d quadratic-phase bases.
 
-    Filled one basis at a time from one roots table, so temporaries stay
-    O(d^2).
+    Filled one basis at a time, in place, from one roots table and one pair
+    of phase terms, so temporaries stay O(d^2).
     """
     d = _check_dim(d)
     roots = _roots(d)
-    j = np.arange(d)
+    terms = _phase_terms(d, np.arange(d))
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d, dtype=complex)
     for k in range(d):
-        bases[1 + k] = _quadratic_rows(roots, k, j)
+        _quadratic_rows(roots, k, terms, out=bases[1 + k])
     return MubFamily(d=d, bases=bases)
 
 

@@ -7,6 +7,7 @@ raise ``ValueError`` with the offending deviation so callers can report it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ DEGENERACY_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
 #: The one sum-to-one tolerance: priors, ensemble and chamber weights, distributions.
 PROBABILITY_SUM_TOL = 1e-9
+
+
+def check_index(value, name: str) -> int:
+    """``value`` as an int: an int or a numpy integer, never a float, which
+    ``int()`` would truncate. Anything else raises a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 def as_square_matrix(m) -> np.ndarray:

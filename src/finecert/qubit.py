@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEGENERACY_TOL, check_state_vector, fix_global_phase
+from .numerics import DEGENERACY_TOL, check_index, check_state_vector, fix_global_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -93,7 +93,7 @@ def pauli_eigenbasis(axis: str) -> np.ndarray:
 
 def pauli_outcome_projector(axis: str, outcome: int) -> np.ndarray:
     """Projector of eigenvector ``outcome`` (0 -> +1, 1 -> -1) of a Pauli."""
-    outcome = int(outcome)
+    outcome = check_index(outcome, "outcome")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1 (got {outcome})")
     v = pauli_eigenbasis(axis)[outcome]
@@ -172,7 +172,7 @@ def average_certainty(alpha: float, panels: int = 2048) -> AverageCertainty:
 def _average_certainties(alphas, panels: int = 2048):
     """``average_certainty`` of each angle in turn, with the theta grid, the
     fixed measurement's cos^2(theta/2) and the Simpson weights built once."""
-    panels = int(panels)
+    panels = check_index(panels, "panels")
     if panels < 1024:
         raise ValueError(f"need at least 1024 panels (got {panels})")
     if panels % 2:
@@ -189,7 +189,8 @@ def _average_certainties(alphas, panels: int = 2048):
             raise ValueError(f"alpha={alpha} outside [0, pi]")
         integrand = (fixed + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
         quadrature = float(h / 3.0 * np.dot(weights, integrand))
-        yield AverageCertainty(closed_form=1.0 + np.sin(alpha) / np.pi, quadrature=quadrature)
+        closed_form = float(1.0 + np.sin(alpha) / np.pi)
+        yield AverageCertainty(closed_form=closed_form, quadrature=quadrature)
 
 
 @dataclass(frozen=True)

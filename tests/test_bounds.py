@@ -362,6 +362,42 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
     assert seen == [rows]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_grid_row_sums_pin_numpys_order(d, rows):
+    """``_row_sums`` pins numpy's order of ``np.sum(prod, axis=1)``: left to
+    right for d <= 3, pairwise at d = 4 and 5, and +0.0 for a row of -0.0.
+    If a numpy release adds a row in another order, this names the dimension
+    that moved, where a grid golden only shows that some digest did."""
+    from finecert.bounds import _row_sums
+
+    rng = np.random.default_rng(1000 * d + rows)
+    parts = np.exp(rng.uniform(-30.0, 30.0, size=(rows, d, 2)))
+    parts *= rng.choice([-1.0, 1.0], size=parts.shape)
+    zeros = rng.random(size=parts.shape) < 0.3
+    parts[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    if rows > 2:
+        parts[1] = -0.0  # every part -0.0
+        parts[2, :, 0] = [0.0, -0.0, 0.0, -0.0, -0.0][:d]
+    prod = parts[..., 0] + 1j * parts[..., 1]
+    assert _row_sums(prod).tobytes() == np.sum(prod, axis=1).real.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pauli_pair_ensemble("x", "z", (0.7, 1.2)), "outcome 0.7 is not an integer"),
+        (lambda: pauli_triple_ensemble((0, 1.0, 1)), "outcome 1.0 is not an integer"),
+        (lambda: zeta_gridsearch(pauli_pair_ensemble("x", "z"), 8.9),
+         "steps_per_angle 8.9 is not an integer"),
+    ],
+    ids=["pauli_pair_ensemble", "pauli_triple_ensemble", "zeta_gridsearch"],
+)
+def test_non_integer_outcomes_and_steps_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize(
     "x, phi",
     [

@@ -4,15 +4,25 @@ Each digest is the SHA-256 over a group of grids, taken in order, of
 ``repr((zeta, angles.x, angles.phi))`` followed by ``state.tobytes()``. The
 values were recorded before the grid search took its trig functions once per
 call and meshed whole grids, so any change to the block plan or the kernel
-that moves a last bit, a tie-break or a signed zero fails here.
+that moves a last bit, a tie-break or a signed zero fails here. The d = 4
+digests were recorded before a block's values were summed column by column
+instead of by ``np.sum``; d = 4 is the first dimension where numpy's order of
+those sums is not left to right.
 """
 
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
-from finecert.bounds import mub_pair_ensemble, pauli_pair_ensemble, zeta_gridsearch
+from finecert.bounds import (
+    measurement_ensemble,
+    mub_pair_ensemble,
+    pauli_pair_ensemble,
+    zeta_gridsearch,
+)
+from finecert.numerics import projector
 
 
 def _digest(cases):
@@ -76,3 +86,32 @@ def test_criterion_8_grids():
     assert _digest(cases) == (
         "38f5f03bb69ccc6d67815bb6e32f23a232d1eedb529627c2f9869071304794b2"
     )
+
+
+def _random_rank1_pair(seed):
+    """Two random rank-1 projectors in dimension 4 with weights w and 1 - w."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = rng.uniform(0.2, 0.8)
+    return measurement_ensemble([("a", w, projector(v[0])), ("b", 1.0 - w, projector(v[1]))])
+
+
+def _fourier_pair(j):
+    """|0> with Fourier vector j in dimension 4: an unbiased pair with exact zeros."""
+    f = np.exp(2j * np.pi * j * np.arange(4) / 4) / 2.0
+    return measurement_ensemble([("z:0", 0.5, projector(np.eye(4)[0])), (f"f:{j}", 0.5, projector(f))])
+
+
+D4_GOLDEN = {
+    ("random", 1, 8): "fca2bf656f71092dfb9fc3f245283ba8c5af6a224c364e296b1c5b8d52e5fee1",
+    # 10 steps: 1,000 blocks of 1,000 rows
+    ("random", 2, 10): "d44b4e0c25a481ca5bcd2dcc5343db3b13914da33d40741cae82bc7be65bf90c",
+    ("fourier", 1, 8): "ed1e71eb8fd041ebab763bc69bbf121c6705722a9afcd1bba1538dd63deb391f",
+}
+
+
+@pytest.mark.parametrize("kind, seed, steps", sorted(D4_GOLDEN))
+def test_d4_grids(kind, seed, steps):
+    ens = _random_rank1_pair(seed) if kind == "random" else _fourier_pair(seed)
+    assert _digest([(ens, steps)]) == D4_GOLDEN[(kind, seed, steps)]

@@ -7,6 +7,7 @@ from finecert.mub import (
     is_prime,
     mub_family,
     mub_vector,
+    quadratic_basis,
     verify_mub,
 )
 
@@ -74,6 +75,23 @@ def test_mub_vector_rejects_out_of_range():
         mub_vector(3, 3, 0)
     with pytest.raises(ValueError, match="j="):
         mub_vector(3, 0, -1)
+
+
+SUPPORTED_ODD_PRIMES = [d for d in range(3, 65) if is_prime(d)]
+
+
+@pytest.mark.parametrize("d", SUPPORTED_ODD_PRIMES)
+def test_family_basis_and_vector_use_the_unreduced_exponent_formula(d):
+    # the exponent k*l^2 - 2*j*l reduced once, as a full (j, l) table, and the
+    # roots looked up by fancy indexing: the family, a basis and a vector agree
+    l = np.arange(d)
+    roots = np.exp(2j * np.pi * l / d) / np.sqrt(d)
+    fam = mub_family(d)
+    for k in range(d):
+        expected = roots[(k * l * l - 2 * np.multiply.outer(l, l)) % d]
+        assert fam.bases[1 + k].tobytes() == expected.tobytes()
+        assert quadratic_basis(d, k).tobytes() == expected.tobytes()
+        assert mub_vector(d, k, d - 1).tobytes() == expected[d - 1].tobytes()
 
 
 def test_family_shape_and_labels():

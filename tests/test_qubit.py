@@ -153,6 +153,19 @@ def test_average_certainty_validation():
         average_certainty(3.5)
     with pytest.raises(ValueError, match="panels"):
         average_certainty(1.0, panels=512)
+    with pytest.raises(ValueError, match="panels 2048.7 is not an integer"):
+        next(_average_certainties([1.0], panels=2048.7))
+
+
+def test_pauli_outcome_projector_rejects_a_non_integer_outcome():
+    with pytest.raises(ValueError, match="outcome 1.9 is not an integer"):
+        pauli_outcome_projector("x", 1.9)
+
+
+def test_average_certainty_returns_python_floats():
+    for result in (average_certainty(0.7), *_average_certainties([0.0, np.pi / 2])):
+        assert type(result.closed_form) is float
+        assert type(result.quadrature) is float
 
 
 def test_triple_pauli_bound_closed_form():
