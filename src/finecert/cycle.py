@@ -161,8 +161,9 @@ def _basis_deviations(bases: np.ndarray) -> np.ndarray:
 
 def _first_failure(ok: np.ndarray):
     """Index of the first False entry (NaN checks count as False), or None."""
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
+    if ok.all():
+        return None
+    return int(np.flatnonzero(~ok)[0])
 
 
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
@@ -201,10 +202,11 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
 #
 # Every cycle evaluation, single or scanned, runs through the helpers below on
 # a stack of membrane bases of shape (n, d, d). What does not depend on the
-# basis (priors, validated components, W2, zeta, the checked layout plan) is
-# one ``_Cycle`` record, built before the stack is evaluated. The standard
-# cycle of each d is built once and kept read-only; a scan or configuration
-# with a layout of its own copies it with that layout and plan swapped in.
+# basis (priors, validated components, W2, zeta, H(priors), H_b(zeta), the
+# checked layout plan) is one ``_Cycle`` record, built before the stack is
+# evaluated. The standard cycle of each d is built once and kept read-only; a
+# scan or configuration with a layout of its own copies it with that layout
+# and plan swapped in.
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,29 @@ def _component_stack(components, d: int) -> np.ndarray:
     return comps
 
 
+#: Bytes of the (n, m, d, d) complex product that ``_outcome_probabilities``
+#: forms for one block of m components.
+_PROBABILITY_BLOCK_BYTES = 256 * 1024
+
+
 def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndarray:
     """probs[k, i, j] = <e_j| rho_i |e_j> in basis k, clamped against roundoff
-    below zero. One batched product per component keeps memory at O(n d^2)."""
-    probs = np.empty((bases.shape[0], len(components), bases.shape[1]))
-    conj = bases.conj()
-    for i, rho in enumerate(components):
-        probs[:, i, :] = np.real(((conj @ rho) * bases).sum(axis=-1))
+    below zero.
+
+    The components go through in blocks, as many as keep the stacked product
+    within ``_PROBABILITY_BLOCK_BYTES`` (at least one), so memory stays at
+    O(n d^2). numpy's stacked matmul still makes one d x d GEMM per (basis,
+    component) pair, and each row is summed alone, so the bits are those of
+    one product per component.
+    """
+    n, d = bases.shape[0], bases.shape[1]
+    probs = np.empty((n, len(components), d))
+    conj, rows = bases.conj()[:, None], bases[:, None]
+    block = max(1, _PROBABILITY_BLOCK_BYTES // (16 * n * d * d))
+    for lo in range(0, len(components), block):
+        prod = np.matmul(conj, components[lo : lo + block])
+        prod *= rows
+        probs[:, lo : lo + block] = prod.sum(axis=-1).real
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
@@ -299,10 +317,10 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
-def _w1(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
+def _w1(probs: np.ndarray, priors: np.ndarray, h_priors: float, plan: _LayoutPlan) -> np.ndarray:
     outcome_dist = priors @ probs
     chamber_weights = _chamber_weights(probs, priors, plan)
-    return shannon_entropy(priors) + _row_entropies(outcome_dist) - _row_entropies(chamber_weights)
+    return h_priors + _row_entropies(outcome_dist) - _row_entropies(chamber_weights)
 
 
 def _w2(priors: np.ndarray, components) -> float:
@@ -324,6 +342,9 @@ class _Cycle:
     components: np.ndarray
     w2: float
     zeta: float
+    #: H(priors) and H_b(zeta), in bits.
+    h_priors: float
+    hb_zeta: float
     #: The priors are uniform to ``UNIFORM_TOL``.
     uniform: bool
     layout: MembraneLayout
@@ -355,13 +376,16 @@ def _cycle(
     d: int, priors: np.ndarray, components, layout: MembraneLayout, plan: _LayoutPlan
 ) -> _Cycle:
     """A cycle from checked priors and a checked layout plan: validates the
-    components and computes W2 and zeta."""
+    components and computes W2, zeta, H(priors) and H_b(zeta)."""
     comps = _component_stack(components, d)
+    zeta = mub_pair_bound(d)
     return _Cycle(
         priors=priors,
         components=comps,
         w2=_w2(priors, comps),
-        zeta=mub_pair_bound(d),
+        zeta=zeta,
+        h_priors=shannon_entropy(priors),
+        hb_zeta=binary_entropy(zeta),
         uniform=bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL),
         layout=layout,
         plan=plan,
@@ -392,7 +416,7 @@ def _standard_cycle(d: int) -> _Cycle:
 def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
     """Evaluate the cycle on a stack of membrane bases of shape (n, d, d)."""
     probs = _outcome_probabilities(bases, cycle.components)
-    w1 = _w1(probs, cycle.priors, cycle.plan)
+    w1 = _w1(probs, cycle.priors, cycle.h_priors, cycle.plan)
     delta = w1 - cycle.w2
     s = in_window = excess = hb_form = residual = None
     if cycle.plan.singletons is not None:
@@ -402,7 +426,7 @@ def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
         excess = s.max(axis=1) - zeta
         if cycle.hb_applies:
             hb = _row_entropies(np.stack([s, 1.0 - s], axis=-1))  # s is clipped into [0, 1]
-            hb_form = binary_entropy(zeta) - hb.mean(axis=1)
+            hb_form = cycle.hb_zeta - hb.mean(axis=1)
             residual = np.abs(delta - hb_form)
     return _CycleBatch(
         w1=w1,
@@ -438,7 +462,7 @@ def work_extraction_w1(cfg: CycleConfig, components) -> float:
     """Work extracted by the mixing path (in bits, per-particle prefactor omitted):
     H(priors) + H(outcome distribution of the average state) - H(chambers)."""
     plan, probs = _config_probabilities(cfg, components)
-    return float(_w1(probs, cfg.priors, plan)[0])
+    return float(_w1(probs, cfg.priors, shannon_entropy(cfg.priors), plan)[0])
 
 
 def work_retrieval_w2(cfg: CycleConfig, components) -> float:
@@ -531,7 +555,7 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
 
     cf_delta = None
     if counterfactual_zeta is not None:
-        cf_delta = binary_entropy(cycle.zeta) - binary_entropy(float(counterfactual_zeta))
+        cf_delta = cycle.hb_zeta - binary_entropy(float(counterfactual_zeta))
 
     return WorkReport(
         d=cfg.d,
@@ -573,8 +597,14 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
 
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
-    matrix with the R-diagonal phases folded back in."""
-    return _haar_bases(check_index(d, "d"), [rng])[0]
+    matrix with the R-diagonal phases folded back in. d runs from 1 to
+    ``mub.MAX_MUB_DIM`` and is checked before anything is allocated."""
+    d = check_index(d, "d")
+    if d < 1:
+        raise ValueError(f"d must be >= 1 (got {d})")
+    if d > _mub.MAX_MUB_DIM:
+        raise ValueError(f"d={d} exceeds the supported maximum {_mub.MAX_MUB_DIM}")
+    return _haar_bases(d, [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -730,13 +760,22 @@ def _scan_seed(seed) -> int:
 
 
 def _histogram(values: np.ndarray, bins: int = 20):
-    """``np.histogram``, with its constant-data range (min - 1/2, max + 1/2)
-    also used when the spread is too small for finite-width bins. The merged
-    layout's net work is basis-independent, so its scan spread is roundoff."""
+    """``np.histogram(values, bins)``, with its constant-data range
+    (min - 1/2, max + 1/2) also used when the spread is too small for
+    finite-width bins. The merged layout's net work is basis-independent, so
+    its scan spread is roundoff; NaN and Inf take that branch too.
+
+    With finite-width bins, each value is counted against the edges by
+    numpy's documented rule: bin i holds edges[i] <= x < edges[i + 1], and
+    the last bin also holds its right edge. ``np.histogram`` computes the
+    same counts, except where a subnormal bin width leaves the rounded edges
+    more than a bin off its index arithmetic; there the rule holds here.
+    """
     lo, hi = float(values.min()), float(values.max())
     edges = np.linspace(lo, hi, bins + 1)
     if np.all(edges[:-1] < edges[1:]):
-        return np.histogram(values, bins=bins)
+        index = np.minimum(np.searchsorted(edges, values, side="right") - 1, bins - 1)
+        return np.bincount(index, minlength=bins), edges
     return np.histogram(values, bins=bins, range=(lo - 0.5, hi + 0.5))
 
 
@@ -796,7 +835,7 @@ def scan_bases(
             if inside.size:
                 top = float(inside.max())
                 in_window_max = top if in_window_max is None else max(in_window_max, top)
-            outside.extend(start + int(k) for k in np.flatnonzero(~batch.in_window))
+            outside.extend((np.flatnonzero(~batch.in_window) + start).tolist())
 
     counts, edges = _histogram(deltas)
     return ScanReport(
@@ -808,12 +847,12 @@ def scan_bases(
         delta_w_min=float(deltas.min()),
         delta_w_max=float(deltas.max()),
         delta_w_mean=float(deltas.mean()),
-        histogram_counts=tuple(int(c) for c in counts),
-        histogram_edges=tuple(float(e) for e in edges),
+        histogram_counts=tuple(counts.tolist()),
+        histogram_edges=tuple(edges.tolist()),
         max_consistency_residual=float(residual_max),
         max_singleton_excess=float(excess_max) if np.isfinite(excess_max) else 0.0,
         n_in_window=n_in_window,
         in_window_delta_w_max=in_window_max,
         outside_window_indices=tuple(outside),
-        per_sample_delta_w=tuple(float(v) for v in deltas) if keep_samples else None,
+        per_sample_delta_w=tuple(deltas.tolist()) if keep_samples else None,
     )

@@ -9,7 +9,7 @@ per-sample implementation, and check that chunked scans match unchunked ones.
 import numpy as np
 import pytest
 
-from finecert import cycle
+from finecert import cycle, mub
 from finecert.bounds import measurement_ensemble
 from finecert.cycle import (
     CycleConfig,
@@ -262,6 +262,18 @@ def test_haar_orthonormality_check_is_nan_safe():
 
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthonormal"):
         haar_random_basis(3, NanGenerator())
+
+
+def test_haar_random_basis_checks_d_first():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"d must be >= 1 \(got 0\)"):
+        haar_random_basis(0, rng)
+    with pytest.raises(ValueError, match=r"d must be >= 1 \(got -2\)"):
+        haar_random_basis(-2, rng)
+    with pytest.raises(ValueError, match=f"d={mub.MAX_MUB_DIM + 1} exceeds the supported maximum {mub.MAX_MUB_DIM}"):
+        haar_random_basis(mub.MAX_MUB_DIM + 1, rng)
+    assert haar_random_basis(1, rng).shape == (1, 1)
+    assert haar_random_basis(mub.MAX_MUB_DIM, rng).shape == (mub.MAX_MUB_DIM, mub.MAX_MUB_DIM)
 
 
 def test_measurement_ensemble_rejects_non_finite_input():

@@ -1,16 +1,23 @@
-"""Independent oracles for the cycle's component states and outcome probabilities.
+"""Independent oracles for the cycle's component states and outcome
+probabilities, and for the certainty bound beyond the grid oracle's reach.
 
 Each component is rho_i = (|i><i| + |v_i><v_i|)/2 with <i|v_i> of modulus
 1/sqrt(d), so its spectrum is (zeta, 1 - zeta, 0, ...) with
 zeta = 1/2 + 1/(2 sqrt d), and an outcome probability in a membrane basis is
 <e|rho_i|e> = (|<e|i>|^2 + |<e|v_i>|^2)/2. The references below build v_i
 from its formula and never call the package's vector construction.
+
+A rank-1 ensemble sum_s p_s |u_s><u_s| = A A^dag, with the columns of A the
+vectors sqrt(p_s) u_s, has the nonzero spectrum of A^dag A, the m x m
+weighted Gram matrix G_st = sqrt(p_s p_t) <u_s|u_t>. So its certainty bound
+is G's top eigenvalue at every d, where the grid oracle stops at d = 5.
 """
 
 import numpy as np
 import pytest
 
 from finecert import cycle, mub
+from finecert.bounds import measurement_ensemble, zeta_spectral
 
 DIMENSIONS = [2] + [p for p in range(3, 62) if mub.is_prime(p)]
 
@@ -45,3 +52,17 @@ def test_outcome_probabilities_equal_the_rank_2_form(d):
     want = (on_i + on_v) / 2.0
     assert got.shape == (2, d, d)
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_rank_1_certainty_bound_is_the_top_eigenvalue_of_the_weighted_gram(d):
+    rng = np.random.default_rng([d, 2])
+    for m in (2, 3, 4):
+        for _ in range(3):
+            u = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            p = rng.dirichlet(np.ones(m))
+            ens = measurement_ensemble([(str(s), p[s], np.outer(u[s], u[s].conj())) for s in range(m)])
+            root = np.sqrt(p)
+            gram = root[:, None] * (u.conj() @ u.T) * root[None, :]
+            assert abs(zeta_spectral(ens).zeta - np.linalg.eigvalsh(gram)[-1]) <= 1e-12
