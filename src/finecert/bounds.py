@@ -390,7 +390,7 @@ def mub_pair_bound(d: int) -> float:
     d = check_index(d, "d")
     if not _mub.is_prime(d):
         raise ValueError(_mub._NOT_PRIME.format(d))
-    return 0.5 + 0.5 / np.sqrt(d)
+    return float(0.5 + 0.5 / np.sqrt(d))
 
 
 def all_outcome_pairs_bound(d: int, k1, k2, j1: int, j2: int) -> float:

@@ -243,6 +243,12 @@ def test_counterfactual_modes():
     assert above.delta_w < 0.0
 
 
+def test_reports_give_zeta_as_a_python_float():
+    assert type(mub_pair_bound(5)) is float
+    assert type(delta_w(cycle_config(3)).as_dict()["zeta"]) is float
+    assert type(scan_bases(3, 4, seed=1).as_dict()["zeta"]) is float
+
+
 def _rotation_path(target: np.ndarray):
     """Rotations R(t) with R(0) = I and R(1) = target (real orthogonal,
     det +1), via the axis-angle form."""
