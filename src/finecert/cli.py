@@ -10,11 +10,11 @@ separator folded in. The whole output is one list of pieces, joined once.
 
 A MUB family holds about d + 2 distinct amplitudes. `mub 61 --verify` prints
 10 MB; in a fresh process with no `__pycache__` and PYTHONDONTWRITEBYTECODE=1
-(medians of 9 runs, one thread, 2-vCPU x86-64 VM) its stages take about
-210 ms interpreter start and import, 5 ms family, 125 ms verification, 34 ms
-rendering and 13 ms writing to a pipe, 390 ms in all. The renderer that
+(medians of 11 runs, one thread, 2-vCPU x86-64 VM) its stages take about
+150 ms interpreter start and import, 4 ms family, 100 ms verification, 29 ms
+rendering and 10 ms writing to a pipe, 290 ms in all. The renderer that
 joined each array level and each enclosing dict into a string of its own
-took 147 ms to render and 8 ms to write (490 ms in all). Each command imports
+took 115 ms to render and 6 ms to write (390 ms in all). Each command imports
 only the submodules it calls. Payloads go to stdout, diagnostics to stderr.
 
 Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
@@ -58,7 +58,9 @@ def _distinct(keys: np.ndarray) -> tuple:
     Only the values are sorted, not their positions (no argsort). Each key then
     finds its index in a table of at most 2 * keys.size slots through a
     multiplicative hash, once every distinct value is seen to have a slot of its
-    own; if two share one, a binary search finds the indices instead.
+    own; if two share one, a binary search finds the indices instead. The
+    table is there for speed: with the binary search alone, `mub 61 --verify`
+    (461,404 unsorted keys) renders in 58 ms instead of 32 ms.
     """
     ordered = np.sort(keys)
     new = np.empty(keys.size, dtype=bool)

@@ -279,11 +279,9 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     bases alone, so every deviation has the bits of the pair-by-pair scan.
     The deviations are formed in place in buffers of at most
     ``_VERIFY_BLOCK_BYTES`` each, so memory beyond the family stays
-    O(block). Each largest deviation is read at its argmax, which is a row's
-    first NaN when it holds one. The reported worst entry is the first
-    largest one, in row-major order, of the last basis (or pair of bases, in
-    (b, b') order) whose largest deviation ties the overall maximum; a NaN
-    deviation is never it.
+    O(block). The reported worst entry is the first largest one, in row-major
+    order, of the last basis (or pair of bases, in (b, b') order) whose
+    largest deviation ties the overall maximum; a NaN deviation is never it.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
@@ -304,7 +302,6 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     conj = np.empty((block, d, d), dtype=work) if work.kind == "c" else None
     prod = np.empty((block, d, d), dtype=work)
     dev = np.empty((block, d * d), dtype=np.finfo(work).dtype)
-    rows = np.arange(block)  # a block's largest deviations are read at their argmax
 
     def conjugated(start, stop):  # as ndarray.conj(), which returns a real array itself
         part = bases[start:stop]
@@ -321,9 +318,8 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
             out=prod[: stop - start],
         )
         gram_dev = np.abs(gram - eye).reshape(stop - start, d * d)
-        arg = gram_dev.argmax(axis=1)
-        orth_arg[start:stop] = arg
-        orth_max[start:stop] = gram_dev[rows[: stop - start], arg]
+        orth_arg[start:stop] = gram_dev.argmax(axis=1)
+        orth_max[start:stop] = gram_dev.max(axis=1)
 
     # entry (b1, b2) of each table is pair b1 < b2; the rest stay -1, which never wins
     unb_max = np.full((n_bases, n_bases), -1.0, dtype=dev.dtype)
@@ -341,9 +337,8 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
             np.square(pair_dev, out=pair_dev)
             np.subtract(pair_dev, 1.0 / d, out=pair_dev)
             np.abs(pair_dev, out=pair_dev)
-            arg = pair_dev.argmax(axis=1)
-            unb_arg[b1, first:stop] = arg
-            unb_max[b1, first:stop] = pair_dev[rows[:count], arg]
+            unb_arg[b1, first:stop] = pair_dev.argmax(axis=1)
+            unb_max[b1, first:stop] = pair_dev.max(axis=1)
 
     worst_orth = 0.0
     worst_orth_at = (labels[0], 0, 0)
