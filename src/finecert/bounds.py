@@ -363,7 +363,7 @@ def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
     bases; :mod:`finecert.mub` owns their meaning, d = 2 included (where the
     pair is sigma_z with sigma_x). Only the two requested vectors are built.
     """
-    d = _mub._check_dim(d, qubit=True, not_prime=_mub._NOT_PRIME)
+    d = _mub._check_dim(d, qubit=True)
     i1, i2 = _mub.basis_index(d, k1), _mub.basis_index(d, k2)
     if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
@@ -386,10 +386,8 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
 
 
 def mub_pair_bound(d: int) -> float:
-    """Closed-form equal-weight pair bound 1/2 + 1/(2 sqrt d) for prime d."""
-    d = check_index(d, "d")
-    if not _mub.is_prime(d):
-        raise ValueError(_mub._NOT_PRIME.format(d))
+    """Closed-form equal-weight pair bound 1/2 + 1/(2 sqrt d) for prime d (up to 64)."""
+    d = _mub._check_dim(d, qubit=True)
     return float(0.5 + 0.5 / np.sqrt(d))
 
 

@@ -308,6 +308,7 @@ def _cmd_scan_alpha(args):
 
 def _cmd_cycle(args) -> dict:
     from . import cycle as _cycle
+    from . import mub as _mub
 
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1 (got {args.samples})")
@@ -330,7 +331,7 @@ def _cmd_cycle(args) -> dict:
         if priors is not None:
             raise ValueError("the basis scan uses uniform priors")
     # reject d before a random basis or the O(d^2) symmetric preset is built
-    _cycle._check_d(args.d)
+    _mub._check_dim(args.d, qubit=True)
     layout = None if args.layout == "paper" else _cycle.MembraneLayout.symmetric_preset(args.d)
     if scan:
         report = _cycle.scan_bases(

@@ -14,17 +14,17 @@ while the reversible return path costs W2 = S(rho_avg) - sum_i p_i S(rho_i)
 of the component indices into chamber groups; the bookkeeping above reproduces
 the per-chamber q log q terms for any layout.
 
-For uniform priors and a singleton-style layout (one designated component per
-outcome, the rest merged), W1 - W2 collapses to the binary-entropy form
+For the standard components, uniform priors and a singleton-style layout (one
+designated component per outcome, the rest merged), W1 - W2 collapses to
 
     delta_w = H_b(1/2 + 1/(2 sqrt d)) - (1/d) sum_j H_b(s_j),
 
-where s_j is the singleton component's expectation at membrane j, which for
-the standard components is the equal-weight two-basis probability combination
-bounded by 1/2 + 1/(2 sqrt d). Whenever every s_j lies in the interval where
-H_b stays below its value at the bound, delta_w <= 0; samples with some
-s_j < 1 - bound fall outside that monotone-comparison window and are reported
-rather than asserted. An explicitly labeled counterfactual mode substitutes a
+where s_j is the singleton component's expectation at membrane j, the
+equal-weight two-basis probability combination bounded by 1/2 + 1/(2 sqrt d);
+other components get no binary-entropy form and no counterfactual. Whenever
+every s_j lies in the interval where H_b stays below its value at the bound,
+delta_w <= 0; samples with some s_j < 1 - bound fall outside that
+monotone-comparison window and are reported rather than asserted. An explicitly labeled counterfactual mode substitutes a
 hypothetical bound value for every s_j to show that a higher achievable bound
 would make delta_w positive.
 
@@ -47,6 +47,7 @@ import numpy as np
 from . import mub as _mub
 from .bounds import mub_pair_bound
 from .numerics import (
+    MAX_DIM,
     PROBABILITY_SUM_TOL,
     binary_entropy,
     check_index,
@@ -59,9 +60,6 @@ UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
 WINDOW_SLACK = 1e-10
 
-#: The cycle's dimension check: 2 or an odd prime up to ``mub.MAX_MUB_DIM``.
-_check_d = functools.partial(_mub._check_dim, qubit=True, not_prime=_mub._NOT_PRIME)
-
 
 def component_state(d: int, i: int) -> np.ndarray:
     """Equal mixture of outcome i's projectors from the two paired bases.
@@ -69,7 +67,7 @@ def component_state(d: int, i: int) -> np.ndarray:
     Eigenvalues are ((1 +- 1/sqrt d)/2, 0, ..., 0), so every component has
     entropy H_b(1/2 + 1/(2 sqrt d)). It is row i of ``component_states(d)``.
     """
-    d = _check_d(d)
+    d = _mub._check_dim(d, qubit=True)
     i = check_index(i, "component index")
     if not 0 <= i < d:
         raise ValueError(f"component index {i} outside 0..{d - 1}")
@@ -79,7 +77,7 @@ def component_state(d: int, i: int) -> np.ndarray:
 def component_states(d: int) -> list:
     """All d component states (|i><i| + |v_i><v_i|)/2, the paired vectors v_i
     taken from one basis."""
-    d = _check_d(d)
+    d = _mub._check_dim(d, qubit=True)
     states = []
     for i, v in enumerate(_mub._member_rows(d, 1, np.arange(d))):
         rho = np.zeros((d, d), dtype=complex)
@@ -170,7 +168,7 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     """Validated cycle configuration; defaults are uniform priors, the computational
     membrane basis, and the paper preset with its checked plan from the standard
     cycle of d that scans use. A layout the caller passes is checked here, once."""
-    d = _check_d(d)
+    d = _mub._check_dim(d, qubit=True)
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
         raise ValueError(f"need {d} priors, got {priors.shape[0]}")
@@ -292,7 +290,10 @@ def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndar
 
 def _chamber_weights(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
     """Chamber weights per basis, shape (n, chambers); each sums
-    p_i <e_j|rho_i|e_j> over its group in group order."""
+    p_i <e_j|rho_i|e_j> over its group in group order. Their sum is the
+    kernel's one distribution check: with probabilities clipped to [0, 1] and
+    priors checked where they enter, the outcome distribution (the same terms
+    by j) and (s, 1 - s) pass whenever the weights do."""
     weighted = (priors[:, None] * probs).reshape(probs.shape[0], -1)
     weights = np.zeros((probs.shape[0], len(plan.chambers)))
     weights[:, plan.filled] = np.add.reduceat(weighted[:, plan.members], plan.starts, axis=1)
@@ -304,16 +305,7 @@ def _chamber_weights(probs: np.ndarray, priors: np.ndarray, plan: _LayoutPlan) -
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each distribution along the last axis,
-    with the checks of ``shannon_entropy``."""
-    low = p.min(axis=-1)
-    bad = _first_failure(low >= 0.0)
-    if bad is not None:
-        raise ValueError(f"negative probability {low.flat[bad]:.3e}")
-    total = p.sum(axis=-1)
-    bad = _first_failure(np.abs(total - 1.0) <= PROBABILITY_SUM_TOL)
-    if bad is not None:
-        raise ValueError(f"probabilities sum to {total.flat[bad]:.12f}, not 1")
+    """Shannon entropy in bits of each distribution along the last axis."""
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
@@ -347,13 +339,15 @@ class _Cycle:
     hb_zeta: float
     #: The priors are uniform to ``UNIFORM_TOL``.
     uniform: bool
+    #: The components are ``component_states(d)``, byte for byte: zeta's own.
+    standard_components: bool
     layout: MembraneLayout
     plan: _LayoutPlan
 
     @property
     def hb_applies(self) -> bool:
-        """The binary-entropy form applies (uniform priors, designated singletons)."""
-        return self.uniform and self.plan.singletons is not None
+        """The binary-entropy form applies (standard components, uniform priors, singletons)."""
+        return self.standard_components and self.uniform and self.plan.singletons is not None
 
 
 @dataclass(frozen=True)
@@ -387,6 +381,7 @@ def _cycle(
         h_priors=shannon_entropy(priors),
         hb_zeta=binary_entropy(zeta),
         uniform=bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL),
+        standard_components=comps.tobytes() == np.asarray(component_states(d)).tobytes(),
         layout=layout,
         plan=plan,
     )
@@ -398,11 +393,11 @@ def _standard_cycle(d: int) -> _Cycle:
     the paper preset.
 
     d is checked first: a directly built config's d reaches here unchecked.
-    Only d = 2 and odd primes up to ``mub.MAX_MUB_DIM`` have components, so
+    Only d = 2 and odd primes up to ``MAX_DIM`` have components, so
     the memo holds at most 18 records; every array in a record is read-only
     and its layout is frozen.
     """
-    d = _check_d(d)
+    d = _mub._check_dim(d, qubit=True)
     layout = MembraneLayout.paper_preset(d)
     plan = _layout_plan(layout, d)
     cycle = _cycle(d, np.full(d, 1.0 / d), component_states(d), layout, plan)
@@ -489,11 +484,12 @@ class WorkReport:
     """Work bookkeeping of one cycle, with the binary-entropy cross-check.
 
     ``consistency_residual`` is |(w1 - w2) - hb_form_delta_w| and is always
-    reported when the binary-entropy form applies (uniform priors and a
-    singleton-style layout). ``in_window`` records whether every singleton
-    argument lies in [1 - zeta, zeta], the interval on which the second-law
-    comparison is monotone. Counterfactual fields are populated only in the
-    explicitly requested what-if mode and never describe a physical cycle.
+    reported when the binary-entropy form applies (the standard components,
+    uniform priors and a singleton-style layout). ``in_window`` records
+    whether every singleton argument lies in [1 - zeta, zeta], the interval
+    on which the second-law comparison is monotone. Counterfactual fields are
+    populated only in the explicitly requested what-if mode and never
+    describe a physical cycle.
     """
 
     d: int
@@ -533,8 +529,9 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
 
     The raw value w1 - w2 is computed for any configuration. The
     binary-entropy form (and the counterfactual mode, which substitutes the
-    hypothetical bound for every singleton argument) additionally needs
-    uniform priors and a layout that designates singleton components.
+    hypothetical bound for every singleton argument) additionally needs the
+    standard components, uniform priors and a layout that designates
+    singleton components.
     """
     standard = None if components is not None else _standard_cycle(cfg.d)
     if standard is not None and cfg.priors.tobytes() == standard.priors.tobytes():
@@ -544,10 +541,11 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
         components = standard.components if components is None else list(components)
         cycle = _cycle(cfg.d, cfg.priors, components, cfg.layout, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
-        raise ValueError(
-            "the binary-entropy form needs uniform priors and a layout with "
-            "designated singletons; cannot evaluate a counterfactual bound here"
-        )
+        needs = "uniform priors and a layout with designated singletons"
+        if not cycle.standard_components:
+            needs = "the standard components"
+        raise ValueError(f"the binary-entropy form needs {needs}; "
+                         "cannot evaluate a counterfactual bound here")
     batch = _cycle_kernel(cycle, cfg.basis[None])
 
     def first(values, cast):
@@ -598,12 +596,12 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
     matrix with the R-diagonal phases folded back in. d runs from 1 to
-    ``mub.MAX_MUB_DIM`` and is checked before anything is allocated."""
+    ``MAX_DIM`` and is checked before anything is allocated."""
     d = check_index(d, "d")
     if d < 1:
         raise ValueError(f"d must be >= 1 (got {d})")
-    if d > _mub.MAX_MUB_DIM:
-        raise ValueError(f"d={d} exceeds the supported maximum {_mub.MAX_MUB_DIM}")
+    if d > MAX_DIM:
+        raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
     return _haar_bases(d, [rng])[0]
 
 
@@ -763,7 +761,9 @@ def _histogram(values: np.ndarray, bins: int = 20):
     """``np.histogram(values, bins)``, with its constant-data range
     (min - 1/2, max + 1/2) also used when the spread is too small for
     finite-width bins. The merged layout's net work is basis-independent, so
-    its scan spread is roundoff; NaN and Inf take that branch too.
+    its scan spread is roundoff; NaN and Inf take that branch too. Callers
+    pass net work, |delta_w| <= log2 d, where that range is exact; magnitudes
+    of 2**52 and up are outside the contract ("Too many bins for data range").
 
     With finite-width bins, each value is counted against the edges by
     numpy's documented rule: bin i holds edges[i] <= x < edges[i + 1], and
@@ -807,7 +807,7 @@ def scan_bases(
     if n_samples > MAX_SCAN_SAMPLES:
         raise ValueError(f"n_samples={n_samples} exceeds the supported maximum {MAX_SCAN_SAMPLES}")
     seed = _scan_seed(seed)
-    d = _check_d(d)
+    d = _mub._check_dim(d, qubit=True)
     cycle = _standard_cycle(d)
     if layout is not None:
         cycle = dataclasses.replace(cycle, layout=layout, plan=_layout_plan(layout, d))

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit as _qubit
-from .numerics import check_index
-
-MAX_MUB_DIM = 64
+from .numerics import MAX_DIM, check_index
+from .numerics import MAX_DIM as MAX_MUB_DIM  # mub's name for the one cap
 
 #: Label of the computational (Z eigenbasis) member of a family.
 Z_LABEL = "z"
@@ -79,17 +78,17 @@ def is_prime(n: int) -> bool:
 _NOT_ODD_PRIME = (
     "d must be an odd prime (got {}); for d=2 use the Pauli eigenbases provided by finecert.qubit"
 )
-_NOT_PRIME = "d must be prime (got {})"  # for callers that take d = 2 (qubit=True)
 
 
-def _check_dim(d: int, qubit: bool = False, not_prime: str = _NOT_ODD_PRIME) -> int:
-    """d as an int if it is an odd prime up to MAX_MUB_DIM, or 2 with ``qubit``;
-    else raises ``not_prime`` formatted with d. Cheap: run it before O(d^2) work."""
+def _check_dim(d: int, qubit: bool = False) -> int:
+    """The package's one dimension rule: d as an int if it is a prime up to
+    ``numerics.MAX_DIM``, odd unless ``qubit`` (the pair bound and the cycle
+    take d = 2, a full family does not). Cheap: run it before O(d^2) work."""
     d = check_index(d, "d")
     if not is_prime(d) or (d == 2 and not qubit):
-        raise ValueError(not_prime.format(d))
-    if d > MAX_MUB_DIM:
-        raise ValueError(f"d={d} exceeds the supported maximum {MAX_MUB_DIM}")
+        raise ValueError(("d must be prime (got {})" if qubit else _NOT_ODD_PRIME).format(d))
+    if d > MAX_DIM:
+        raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
     return d
 
 

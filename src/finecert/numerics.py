@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Maximum matrix dimension accepted by the eigensolver path.
+#: The one dimension cap: of eigensolver matrices, and of d (``mub._check_dim``).
 MAX_DIM = 64
 
 #: Hermiticity tolerance for generic operator inputs.

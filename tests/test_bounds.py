@@ -259,6 +259,19 @@ def test_mub_pair_bound_values():
         mub_pair_bound(4)
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (67, "d=67 exceeds the supported maximum 64"),
+        (9, r"d must be prime \(got 9\)"),
+        (5.0, "d 5.0 is not an integer"),
+    ],
+)
+def test_mub_pair_bound_takes_the_one_dimension_rule(d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mub_pair_bound(d)
+
+
 def test_mub_pair_bound_consistent_with_qubit_geometry():
     from finecert.qubit import pair_bound
 

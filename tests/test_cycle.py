@@ -229,6 +229,29 @@ def test_delta_w_nonuniform_priors_raw_only():
         delta_w(cfg, counterfactual_zeta=0.9)
 
 
+def test_delta_w_has_no_hb_form_for_components_it_was_not_derived_for():
+    # certainty 1, not zeta: the computational projectors are no standard components
+    cfg = cycle_config(3)
+    diagonal = [np.diag(row).astype(complex) for row in np.eye(3)]
+    report = delta_w(cfg, components=diagonal)
+    assert report.delta_w == 0.0
+    assert report.hb_form_delta_w is None and report.consistency_residual is None
+    with pytest.raises(ValueError, match="^the binary-entropy form needs the standard components; "):
+        delta_w(cfg, components=diagonal, counterfactual_zeta=0.9)
+    standard = delta_w(cfg, components=component_states(3))
+    assert standard.hb_form_delta_w is not None and standard.consistency_residual < 1e-12
+
+
+def test_unnormalized_components_fail_the_one_distribution_check():
+    cfg = cycle_config(3)
+    doubled = [2 * c for c in component_states(3)]
+    for evaluate in (chamber_distribution, work_extraction_w1):
+        with pytest.raises(ValueError, match=r"^chamber weights sum to 1\.666666666667, not 1$"):
+            evaluate(cfg, doubled)
+    with pytest.raises(ValueError, match=r"^density matrix trace 2\.000000000000\+0\.000000000000j != 1$"):
+        delta_w(cfg, doubled)
+
+
 def test_counterfactual_modes():
     cfg = cycle_config(3)
     zeta = mub_pair_bound(3)

@@ -10,6 +10,7 @@ from finecert.mub import (
     quadratic_basis,
     verify_mub,
 )
+from finecert.mub import _phase_terms
 
 
 def test_is_prime_small():
@@ -92,6 +93,29 @@ def test_family_basis_and_vector_use_the_unreduced_exponent_formula(d):
         assert fam.bases[1 + k].tobytes() == expected.tobytes()
         assert quadratic_basis(d, k).tobytes() == expected.tobytes()
         assert mub_vector(d, k, d - 1).tobytes() == expected[d - 1].tobytes()
+
+
+def test_quadratic_family_is_unbiased_in_exact_integer_arithmetic():
+    # An integer oracle for verify_mub. Vector j of basis k has amplitudes
+    # w^(k l^2 - 2 j l) / sqrt(d), so <e_kj|e_k'j'> = (1/d) sum_l w^(e_l) with
+    # e_l = (dk l^2 - 2 dj l) mod d, dk = k' - k, dj = j' - j, and its squared
+    # modulus is (1/d^2) sum_t N(t) w^t, N(t) = #{(l, m): e_l - e_m = t mod d}.
+    # For prime d the only rational relation among the d-th roots of unity is
+    # 1 + w + ... + w^(d-1) = 0, so that is 1/d iff N(t) = N(0) - d for every
+    # t != 0, and 0 (orthogonal vectors) iff N is constant.
+    for d in SUPPORTED_ODD_PRIMES:
+        square, linear = _phase_terms(d, np.arange(d))  # l^2 and 2 dj l, mod d
+        rows = (np.arange(d) * d)[:, None]
+        shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # (t, v) -> v - t
+        for dk in range(d):
+            e = (dk * square - linear) % d  # e[dj, l]
+            count = np.bincount((e + rows).ravel(), minlength=d * d).reshape(d, d)
+            n = np.einsum("jv,jtv->jt", count, count[:, shift])  # n[dj, t] = N(t)
+            assert n.sum() == d**3
+            if dk:
+                assert (n[:, 1:] == n[:, :1] - d).all(), (d, dk)
+            else:
+                assert n[0, 0] == d * d and (n[1:] == d).all(), d
 
 
 def test_family_shape_and_labels():

@@ -218,9 +218,11 @@ def test_is_prime_accepts_large_primes(n):
     assert is_prime(n)
 
 
-def expected_dim_message(d, qubit, not_prime):
+def expected_dim_message(d, qubit):
     if not trial_division(d) or (d == 2 and not qubit):
-        return not_prime.format(d)
+        if qubit:
+            return f"d must be prime (got {d})"
+        return f"d must be an odd prime (got {d}); for d=2 use the Pauli eigenbases provided by finecert.qubit"
     if d > 64:
         return f"d={d} exceeds the supported maximum 64"
     return None
@@ -228,14 +230,13 @@ def expected_dim_message(d, qubit, not_prime):
 
 @pytest.mark.parametrize("qubit", [False, True])
 def test_dimension_messages_unchanged(qubit):
-    not_prime = "d must be prime (got {})"
     for d in range(-5, 400):
-        want = expected_dim_message(d, qubit, not_prime)
+        want = expected_dim_message(d, qubit)
         if want is None:
-            assert _check_dim(d, qubit=qubit, not_prime=not_prime) == d
+            assert _check_dim(d, qubit=qubit) == d
         else:
             with pytest.raises(ValueError) as info:
-                _check_dim(d, qubit=qubit, not_prime=not_prime)
+                _check_dim(d, qubit=qubit)
             assert str(info.value) == want
 
 
