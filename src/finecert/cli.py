@@ -12,9 +12,7 @@ A MUB family holds about d + 2 distinct amplitudes. `mub 61 --verify` prints
 10 MB; in a fresh process with no `__pycache__` and PYTHONDONTWRITEBYTECODE=1
 (medians of 11 runs, one thread, 2-vCPU x86-64 VM) its stages take about
 150 ms interpreter start and import, 4 ms family, 100 ms verification, 29 ms
-rendering and 10 ms writing to a pipe, 290 ms in all. The renderer that
-joined each array level and each enclosing dict into a string of its own
-took 115 ms to render and 6 ms to write (390 ms in all). Each command imports
+rendering and 10 ms writing to a pipe, 290 ms in all. Each command imports
 only the submodules it calls. Payloads go to stdout, diagnostics to stderr.
 
 Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
@@ -342,7 +340,7 @@ def _cmd_cycle(args) -> dict:
     if args.basis == "computational":
         basis = None
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(_cycle._scan_seed(args.seed)))
+        rng = np.random.default_rng(_cycle._scan_seed(args.seed))
         basis = _cycle.haar_random_basis(args.d, rng)
     cfg = _cycle.cycle_config(args.d, priors=priors, basis=basis, layout=layout)
     report = _cycle.delta_w(cfg, counterfactual_zeta=args.counterfactual_zeta)

@@ -14,25 +14,31 @@ while the reversible return path costs W2 = S(rho_avg) - sum_i p_i S(rho_i)
 of the component indices into chamber groups; the bookkeeping above reproduces
 the per-chamber q log q terms for any layout.
 
+Each chamber C belongs to one outcome J, so H(C) = H(J) + H(C|J) and, with
+p the priors, W1 = H(p) - H(C|J). The finest layout gives W1 = I(i; J) for
+component i, which the Holevo bound caps by chi = W2, so delta_w <= 0; the
+merged layout gives W1 = H(p), so delta_w = H(p) - chi >= 0.
+
 For the standard components, uniform priors and a singleton-style layout (one
 designated component per outcome, the rest merged), W1 - W2 collapses to
 
-    delta_w = H_b(1/2 + 1/(2 sqrt d)) - (1/d) sum_j H_b(s_j),
+    delta_w = H_b(zeta) - (1/d) sum_j H_b(s_j),    zeta = 1/2 + 1/(2 sqrt d),
 
 where s_j is the singleton component's expectation at membrane j, the
-equal-weight two-basis probability combination bounded by 1/2 + 1/(2 sqrt d);
-other components get no binary-entropy form and no counterfactual. Whenever
-every s_j lies in the interval where H_b stays below its value at the bound,
-delta_w <= 0; samples with some s_j < 1 - bound fall outside that
-monotone-comparison window and are reported rather than asserted. An explicitly labeled counterfactual mode substitutes a
-hypothetical bound value for every s_j to show that a higher achievable bound
-would make delta_w positive.
+equal-weight two-basis combination that zeta, the standard components' bound,
+caps. When every s_j lies in the window [1 - zeta, zeta], H_b(s_j) >=
+H_b(zeta) and so delta_w <= 0; samples outside it are reported, not asserted.
+That implication holds only where zeta is the components' own bound, so other
+components get no zeta, window, binary-entropy form or counterfactual. An
+explicitly labeled counterfactual mode substitutes a hypothetical bound for
+every s_j to show that a higher achievable bound would make delta_w positive.
 
 A single cycle and a scan over random membrane bases run through the same
-batched kernel; a scan streams its samples through it in fixed-size chunks.
-The standard cycle of each d (uniform priors, the standard components, W2,
-zeta, the paper layout and its plan) is one read-only record, built once; a
-layout of the caller's own is checked once per configuration or scan.
+batched kernel; a scan streams its samples through it in fixed-size chunks
+and reduces their per-sample results once. The standard cycle of each d
+(uniform priors, the standard components, W2, zeta, the paper layout and its
+plan) is one read-only record, built once; a layout or basis of the caller's
+own is checked once, where it enters.
 """
 
 from __future__ import annotations
@@ -151,10 +157,12 @@ class CycleConfig:
         return _layout_plan(self.layout, self.d)
 
 
-def _basis_deviations(bases: np.ndarray) -> np.ndarray:
-    """max |B B^dag - I| of each basis in a stack of shape (n, d, d)."""
-    gram = bases @ bases.conj().swapaxes(-1, -2)
-    return np.abs(gram - np.eye(bases.shape[-1])).max(axis=(-2, -1))
+def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
+    """The basis (rows), if max |B B^dag - I| <= ``BASIS_TOL``; NaN fails."""
+    deviation = float(np.abs(basis @ basis.conj().T - np.eye(len(basis))).max())
+    if not deviation <= BASIS_TOL:
+        raise ValueError(f"membrane basis not orthonormal: deviation {deviation:.3e}")
+    return basis
 
 
 def _first_failure(ok: np.ndarray):
@@ -167,7 +175,7 @@ def _first_failure(ok: np.ndarray):
 def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None = None) -> CycleConfig:
     """Validated cycle configuration; defaults are uniform priors, the computational
     membrane basis, and the paper preset with its checked plan from the standard
-    cycle of d that scans use. A layout the caller passes is checked here, once."""
+    cycle of d that scans use. A basis or layout the caller passes is checked here, once."""
     d = _mub._check_dim(d, qubit=True)
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
     if priors.shape[0] != d:
@@ -178,14 +186,15 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
         raise ValueError(f"negative prior {float(priors.min()):.3e}")
     if not abs(float(priors.sum()) - 1.0) <= PROBABILITY_SUM_TOL:
         raise ValueError(f"priors sum to {float(priors.sum()):.12f}, not 1")
-    basis = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
-    if basis.shape != (d, d):
-        raise ValueError(f"membrane basis must be {d}x{d}, got {basis.shape}")
-    if not np.all(np.isfinite(basis)):
-        raise ValueError("membrane basis contains NaN or Inf entries")
-    gram_dev = float(_basis_deviations(basis[None])[0])
-    if not gram_dev <= BASIS_TOL:
-        raise ValueError(f"membrane basis not orthonormal: deviation {gram_dev:.3e}")
+    if basis is None:
+        basis = np.eye(d, dtype=complex)
+    else:
+        basis = np.asarray(basis, dtype=complex)
+        if basis.shape != (d, d):
+            raise ValueError(f"membrane basis must be {d}x{d}, got {basis.shape}")
+        if not np.all(np.isfinite(basis)):
+            raise ValueError("membrane basis contains NaN or Inf entries")
+        _check_orthonormal(basis)
     if layout is None:
         standard = _standard_cycle(d)
         layout, plan = standard.layout, standard.plan
@@ -328,33 +337,33 @@ def _singleton_args(probs: np.ndarray, plan: _LayoutPlan) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cycle:
-    """The basis-independent part of a cycle, validated and computed once."""
+    """The basis-independent part of a cycle, validated and computed once.
+    zeta is the standard components' bound: for others it is None, and so is
+    all judged against it (window, singleton excess, binary-entropy form)."""
 
     priors: np.ndarray
     components: np.ndarray
     w2: float
-    zeta: float
+    zeta: float | None
     #: H(priors) and H_b(zeta), in bits.
     h_priors: float
-    hb_zeta: float
+    hb_zeta: float | None
     #: The priors are uniform to ``UNIFORM_TOL``.
     uniform: bool
-    #: The components are ``component_states(d)``, byte for byte: zeta's own.
-    standard_components: bool
     layout: MembraneLayout
     plan: _LayoutPlan
 
     @property
     def hb_applies(self) -> bool:
         """The binary-entropy form applies (standard components, uniform priors, singletons)."""
-        return self.standard_components and self.uniform and self.plan.singletons is not None
+        return self.zeta is not None and self.uniform and self.plan.singletons is not None
 
 
 @dataclass(frozen=True)
 class _CycleBatch:
-    """Per-basis results of the kernel; singleton fields are None when the
-    layout designates no singletons, ``hb_form``/``residual`` when the
-    binary-entropy form does not apply."""
+    """Per-basis results of the kernel. Singleton fields are None without
+    singletons, ``in_window``/``singleton_excess`` also without zeta, and
+    ``hb_form``/``residual`` where the binary-entropy form does not apply."""
 
     w1: np.ndarray
     delta_w: np.ndarray
@@ -370,18 +379,19 @@ def _cycle(
     d: int, priors: np.ndarray, components, layout: MembraneLayout, plan: _LayoutPlan
 ) -> _Cycle:
     """A cycle from checked priors and a checked layout plan: validates the
-    components and computes W2, zeta, H(priors) and H_b(zeta)."""
+    components and computes W2 and H(priors), and zeta and H_b(zeta) when the
+    components are ``component_states(d)``, byte for byte."""
     comps = _component_stack(components, d)
-    zeta = mub_pair_bound(d)
+    standard = comps.tobytes() == np.asarray(component_states(d)).tobytes()
+    zeta = mub_pair_bound(d) if standard else None
     return _Cycle(
         priors=priors,
         components=comps,
         w2=_w2(priors, comps),
         zeta=zeta,
         h_priors=shannon_entropy(priors),
-        hb_zeta=binary_entropy(zeta),
+        hb_zeta=None if zeta is None else binary_entropy(zeta),
         uniform=bool(np.max(np.abs(priors - 1.0 / d)) <= UNIFORM_TOL),
-        standard_components=comps.tobytes() == np.asarray(component_states(d)).tobytes(),
         layout=layout,
         plan=plan,
     )
@@ -417,8 +427,9 @@ def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
     if cycle.plan.singletons is not None:
         s = _singleton_args(probs, cycle.plan)
         zeta = cycle.zeta
-        in_window = np.all(s >= 1.0 - zeta, axis=1) & np.all(s <= zeta + WINDOW_SLACK, axis=1)
-        excess = s.max(axis=1) - zeta
+        if zeta is not None:
+            in_window = np.all(s >= 1.0 - zeta, axis=1) & np.all(s <= zeta + WINDOW_SLACK, axis=1)
+            excess = s.max(axis=1) - zeta
         if cycle.hb_applies:
             hb = _row_entropies(np.stack([s, 1.0 - s], axis=-1))  # s is clipped into [0, 1]
             hb_form = cycle.hb_zeta - hb.mean(axis=1)
@@ -487,16 +498,17 @@ class WorkReport:
     reported when the binary-entropy form applies (the standard components,
     uniform priors and a singleton-style layout). ``in_window`` records
     whether every singleton argument lies in [1 - zeta, zeta], the interval
-    on which the second-law comparison is monotone. Counterfactual fields are
-    populated only in the explicitly requested what-if mode and never
-    describe a physical cycle.
+    on which the second-law comparison is monotone. zeta is the standard
+    components' bound: for other components it, ``in_window`` and the
+    binary-entropy form are None. Counterfactual fields are populated only in
+    the explicitly requested what-if mode and never describe a physical cycle.
     """
 
     d: int
     w1: float
     w2: float
     delta_w: float
-    zeta: float
+    zeta: float | None
     layout_name: str
     singleton_args: tuple | None = None
     hb_form_delta_w: float | None = None
@@ -542,7 +554,7 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
         cycle = _cycle(cfg.d, cfg.priors, components, cfg.layout, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         needs = "uniform priors and a layout with designated singletons"
-        if not cycle.standard_components:
+        if cycle.zeta is None:
             needs = "the standard components"
         raise ValueError(f"the binary-entropy form needs {needs}; "
                          "cannot evaluate a counterfactual bound here")
@@ -577,7 +589,9 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
 
     Each generator draws the real then the imaginary Gaussian part of its own
     matrix in one call; the complex stack is formed once, and one stacked QR
-    follows, with the R-diagonal phases folded back in.
+    follows, with the R-diagonal phases folded back in. Nothing is checked
+    here: finite normals through Householder QR give orthonormal rows, and a
+    caller's generator is checked in ``haar_random_basis``.
     """
     g = np.empty((len(rngs), 2, d, d))
     for k, rng in enumerate(rngs):
@@ -585,12 +599,7 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    bases = (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
-    dev = _basis_deviations(bases)
-    bad = _first_failure(dev <= BASIS_TOL)
-    if bad is not None:
-        raise ValueError(f"membrane basis not orthonormal: deviation {dev[bad]:.3e}")
-    return bases
+    return (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
 
 
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -602,7 +611,7 @@ def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"d must be >= 1 (got {d})")
     if d > MAX_DIM:
         raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
-    return _haar_bases(d, [rng])[0]
+    return _check_orthonormal(_haar_bases(d, [rng])[0])
 
 
 @dataclass(frozen=True)
@@ -815,28 +824,20 @@ def scan_bases(
     prefix = _spawn_prefix(seed)
     child_seed = _child_seed_type()
     chunk = _chunk_samples(d)
-    deltas = np.empty(n_samples)
-    residual_max = 0.0
-    excess_max = -np.inf
-    n_in_window = 0
-    outside = []
-    in_window_max = None
+    singles = cycle.plan.singletons is not None  # then window, excess and residual are all set
+    deltas, excess, residual = np.empty((3, n_samples))
+    in_window = np.zeros(n_samples, dtype=bool)
     for start in range(0, n_samples, chunk):
         states = _child_states(prefix, start, min(chunk, n_samples - start))
         rngs = [np.random.Generator(np.random.PCG64(child_seed(words))) for words in states]
         batch = _cycle_kernel(cycle, _haar_bases(d, rngs))
-        deltas[start : start + len(rngs)] = batch.delta_w
-        if batch.residual is not None:
-            residual_max = max(residual_max, float(batch.residual.max()))
-        if batch.in_window is not None:
-            excess_max = max(excess_max, float(batch.singleton_excess.max()))
-            inside = batch.delta_w[batch.in_window]
-            n_in_window += int(inside.size)
-            if inside.size:
-                top = float(inside.max())
-                in_window_max = top if in_window_max is None else max(in_window_max, top)
-            outside.extend((np.flatnonzero(~batch.in_window) + start).tolist())
-
+        stop = start + len(rngs)
+        deltas[start:stop] = batch.delta_w
+        if singles:
+            in_window[start:stop] = batch.in_window
+            excess[start:stop] = batch.singleton_excess
+            residual[start:stop] = batch.residual
+    inside = deltas[in_window]
     counts, edges = _histogram(deltas)
     return ScanReport(
         d=d,
@@ -849,10 +850,10 @@ def scan_bases(
         delta_w_mean=float(deltas.mean()),
         histogram_counts=tuple(counts.tolist()),
         histogram_edges=tuple(edges.tolist()),
-        max_consistency_residual=float(residual_max),
-        max_singleton_excess=float(excess_max) if np.isfinite(excess_max) else 0.0,
-        n_in_window=n_in_window,
-        in_window_delta_w_max=in_window_max,
-        outside_window_indices=tuple(outside),
+        max_consistency_residual=float(residual.max()) if singles else 0.0,
+        max_singleton_excess=float(excess.max()) if singles else 0.0,
+        n_in_window=int(inside.size),
+        in_window_delta_w_max=float(inside.max()) if inside.size else None,
+        outside_window_indices=tuple(np.flatnonzero(~in_window).tolist()) if singles else (),
         per_sample_delta_w=tuple(deltas.tolist()) if keep_samples else None,
     )

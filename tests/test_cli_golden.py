@@ -33,6 +33,14 @@ CLI_GOLDEN = {
     ("cycle", "--d", "7", "--layout", "symmetric"): (
         "8cb76db027a6754c3b5387b352a5c0e271cd62b581cffb565cbe942de036a211"
     ),
+    # single random-basis runs, recorded while the generator was still seeded
+    # through an explicit SeedSequence
+    ("cycle", "--d", "3", "--basis", "random", "--seed", "42"): (
+        "23515438a0dd422939ce6ab905bab954f49d7dcea12ecfb45372dfdc65b07397"
+    ),
+    ("cycle", "--d", "31", "--basis", "random", "--seed", "7", "--layout", "symmetric"): (
+        "6aea3871f32ab50d1b176fd2d77770575a5eb5bf7b044cd8b6a5ab951adf1349"
+    ),
 }
 
 

@@ -370,3 +370,20 @@ def test_work_retrieval_w2_checks_its_components(components, message):
     # as delta_w and work_extraction_w1 do: no W2 of the wrong size or count
     with pytest.raises(ValueError, match=message):
         work_retrieval_w2(cycle_config(3), components)
+
+
+def test_zeta_and_the_window_belong_to_the_standard_components():
+    # the computational projectors have certainty 1: the pair bound is not theirs
+    cfg = cycle_config(3)
+    diagonal = [np.diag(row).astype(complex) for row in np.eye(3)]
+    report = delta_w(cfg, components=diagonal)
+    assert report.zeta is None and report.in_window is None
+    assert report.singleton_args == (1.0, 0.0, 1.0)
+    assert report.delta_w == 0.0
+    assert report.as_dict()["zeta"] is None and report.as_dict()["in_window"] is None
+    with pytest.raises(ValueError, match="^the binary-entropy form needs the standard components; "):
+        delta_w(cfg, components=diagonal, counterfactual_zeta=0.9)
+    standard = delta_w(cfg, components=component_states(3))
+    assert standard.zeta == mub_pair_bound(3)
+    assert standard.in_window is not None
+    assert standard.as_dict() == delta_w(cfg).as_dict()

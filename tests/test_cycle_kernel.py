@@ -288,3 +288,49 @@ def test_measurement_ensemble_rejects_non_finite_input():
 def test_verify_mub_rejects_non_finite_tolerance():
     with pytest.raises(ValueError, match="finite"):
         verify_mub(mub_family(3), tol=np.nan)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("factory", LAYOUTS)
+def test_scan_statistics_reduce_the_per_sample_cycles(monkeypatch, d, factory):
+    n, seed = 30, 11
+    monkeypatch.setattr(cycle, "SCAN_CHUNK_BYTES", 16 * d * d * 7)
+    assert cycle._chunk_samples(d) == 7  # five chunks
+    layout = getattr(MembraneLayout, factory)(d)
+    report = scan_bases(d, n, seed, layout=None if factory == "paper_preset" else layout)
+    singles = [
+        delta_w(cycle_config(d, basis=haar_random_basis(d, np.random.default_rng(child)), layout=layout))
+        for child in np.random.SeedSequence(seed).spawn(n)
+    ]
+    if layout.singletons is None:
+        assert (report.n_in_window, report.in_window_delta_w_max, report.outside_window_indices) == (0, None, ())
+        assert (report.max_singleton_excess, report.max_consistency_residual) == (0.0, 0.0)
+        return
+    inside = [r.delta_w for r in singles if r.in_window]
+    assert report.n_in_window == len(inside)
+    assert report.outside_window_indices == tuple(i for i, r in enumerate(singles) if not r.in_window)
+    if inside:
+        assert abs(report.in_window_delta_w_max - max(inside)) <= TOL
+    else:
+        assert report.in_window_delta_w_max is None
+    assert abs(report.max_singleton_excess - max(max(r.singleton_args) - r.zeta for r in singles)) <= TOL
+    assert abs(report.max_consistency_residual - max(r.consistency_residual for r in singles)) <= TOL
+
+
+def test_only_a_callers_basis_is_checked(monkeypatch):
+    calls = []
+    check = cycle._check_orthonormal
+
+    def spy(basis):
+        calls.append(basis.shape)
+        return check(basis)
+
+    monkeypatch.setattr(cycle, "_check_orthonormal", spy)
+    scan_bases(3, 40, 5)
+    scan_bases(5, 40, 5, layout=MembraneLayout.symmetric_preset(5))
+    cycle_config(3)
+    assert calls == []
+    basis = haar_random_basis(3, np.random.default_rng(1))
+    assert calls == [(3, 3)]
+    cycle_config(3, basis=basis)
+    assert calls == [(3, 3), (3, 3)]

@@ -6,7 +6,9 @@ bound caps that by the W2 of the same priors: its net work is never positive,
 whatever the priors and the membrane basis. The equal-weight pair of any two
 unit vectors has the top eigenvalue (1 + |<u|v>|)/2. Near the computational
 basis the symmetric layout's singleton arguments fall in the monotone window
-at d >= 5 too, where the net work must not be positive.
+at d >= 5 too, where the net work must not be positive. With the standard
+components and uniform priors, any singleton layout's net work is its
+binary-entropy form, and no singleton argument exceeds the pair bound.
 """
 
 import numpy as np
@@ -71,3 +73,27 @@ def test_second_law_holds_in_window_near_the_computational_basis(d):
                 inside.append(report.delta_w)
     assert len(inside) > 0
     assert max(inside) <= 1e-9
+
+
+def random_singleton_cycle(d, seed):
+    """delta_w of the standard cycle under uniform priors, a Haar basis and a
+    layout whose designated component per outcome is drawn at random, the
+    rest merged."""
+    rng = np.random.default_rng(seed)
+    singles = tuple(int(s) for s in rng.integers(d, size=d))
+    groups = tuple((tuple(i for i in range(d) if i != s), (s,)) for s in singles)
+    layout = MembraneLayout(name="random", groups=groups, singletons=singles)
+    return delta_w(cycle_config(d, basis=haar_random_basis(d, rng), layout=layout))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), seed=SEEDS)
+def test_random_singleton_layout_matches_its_binary_entropy_form(d, seed):
+    assert random_singleton_cycle(d, seed).consistency_residual < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), seed=SEEDS)
+def test_random_singleton_arguments_stay_below_the_bound(d, seed):
+    report = random_singleton_cycle(d, seed)
+    assert max(report.singleton_args) <= report.zeta + 1e-12
