@@ -249,8 +249,8 @@ class MubVerification:
         }
 
 
-#: Size of each of ``verify_mub``'s block buffers: its products, their
-#: conjugated factors and their deviations are held a block of bases at a time.
+#: Bytes of bases in each block of ``verify_mub``; each product it forms, and
+#: each deviation of one, covers at most one block.
 _VERIFY_BLOCK_BYTES = 256 * 1024
 
 
@@ -272,15 +272,15 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     whose bases are not a (d+1, d, d) array of finite entries is rejected, and
     so is a negative tolerance, which no family could meet.
 
-    The bases are taken a block at a time: one stacked product gives the Gram
-    matrices of a block, and each basis meets a block of later bases in one
-    more, which runs the same d x d x d GEMM per pair as a product of two
-    bases alone, so every deviation has the bits of the pair-by-pair scan.
-    The deviations are formed in place in buffers of at most
-    ``_VERIFY_BLOCK_BYTES`` each, so memory beyond the family stays
-    O(block). The reported worst entry is the first largest one, in row-major
-    order, of the last basis (or pair of bases, in (b, b') order) whose
-    largest deviation ties the overall maximum; a NaN deviation is never it.
+    The bases are taken in blocks of at most ``_VERIFY_BLOCK_BYTES``: one
+    stacked product gives the Gram matrices of a block, and each earlier
+    basis meets the block's later bases in one more, which runs the same
+    d x d x d GEMM per pair as a product of two bases alone, so every
+    deviation has the bits of the pair-by-pair scan. Memory beyond the family
+    stays O(block). The reported worst entry is the first largest one, in
+    row-major order, of the last basis (or pair of bases, in (b, b') order)
+    whose largest deviation ties the overall maximum; a NaN deviation is
+    never it.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tolerance must be finite (got {tol})")
@@ -298,44 +298,23 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     work = np.result_type(bases, 1.0)  # the dtype of every product
     bases = bases.astype(work, copy=False)
     block = min(n_bases, max(1, _VERIFY_BLOCK_BYTES // max(1, d * d * work.itemsize)))
-    conj = np.empty((block, d, d), dtype=work) if work.kind == "c" else None
-    prod = np.empty((block, d, d), dtype=work)
-    dev = np.empty((block, d * d), dtype=np.finfo(work).dtype)
-
-    def conjugated(start, stop):  # as ndarray.conj(), which returns a real array itself
-        part = bases[start:stop]
-        return part if conj is None else np.conjugate(part, out=conj[: stop - start])
-
     eye = np.eye(d)
     orth_max = np.empty(n_bases)  # gram - eye is promoted to the float64 eye
     orth_arg = np.empty(n_bases, dtype=np.intp)
+    # entry (b1, b2) of each table is pair b1 < b2; the rest stay -1, which never wins
+    unb_max = np.full((n_bases, n_bases), -1.0, dtype=np.finfo(work).dtype)
+    unb_arg = np.zeros((n_bases, n_bases), dtype=np.intp)
     for start in range(0, n_bases, block):
         stop = min(start + block, n_bases)
-        gram = np.matmul(
-            bases[start:stop],
-            conjugated(start, stop).swapaxes(-1, -2),
-            out=prod[: stop - start],
-        )
-        gram_dev = np.abs(gram - eye).reshape(stop - start, d * d)
+        # a real block is its own conjugate, so numpy forms its Gram products as symmetric ones
+        adjoint = bases[start:stop].conj().swapaxes(-1, -2)
+        gram_dev = np.abs(np.matmul(bases[start:stop], adjoint) - eye).reshape(stop - start, d * d)
         orth_arg[start:stop] = gram_dev.argmax(axis=1)
         orth_max[start:stop] = gram_dev.max(axis=1)
-
-    # entry (b1, b2) of each table is pair b1 < b2; the rest stay -1, which never wins
-    unb_max = np.full((n_bases, n_bases), -1.0, dtype=dev.dtype)
-    unb_arg = np.zeros((n_bases, n_bases), dtype=np.intp)
-    for start in range(1, n_bases, block):
-        stop = min(start + block, n_bases)
-        later = conjugated(start, stop).swapaxes(-1, -2)
         for b1 in range(stop - 1):
             first = max(start, b1 + 1)
-            count = stop - first
-            out = prod[:count]
-            np.matmul(bases[b1], later[first - start :], out=out)
-            pair_dev = dev[:count]
-            np.abs(out.reshape(count, d * d), out=pair_dev)
-            np.square(pair_dev, out=pair_dev)
-            np.subtract(pair_dev, 1.0 / d, out=pair_dev)
-            np.abs(pair_dev, out=pair_dev)
+            overlap = np.abs(np.matmul(bases[b1], adjoint[first - start :]))
+            pair_dev = np.abs(np.square(overlap) - 1.0 / d).reshape(stop - first, d * d)
             unb_arg[b1, first:stop] = pair_dev.argmax(axis=1)
             unb_max[b1, first:stop] = pair_dev.max(axis=1)
 

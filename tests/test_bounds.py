@@ -21,6 +21,8 @@ from finecert.bounds import (
 from finecert.mub import mub_family
 from finecert.numerics import projector
 from finecert.qubit import angles_to_state
+# collected here too, so this module keeps the test ID
+from test_numpy_copies import test_grid_row_sums_pin_numpys_order  # noqa: F401
 
 
 def eig2x2_charpoly(m):
@@ -375,27 +377,6 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
     assert seen == [rows]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("rows", [1, 7, 4096])
-def test_grid_row_sums_pin_numpys_order(d, rows):
-    """``_row_sums`` pins numpy's order of ``np.sum(prod, axis=1)``: left to
-    right for d <= 3, pairwise at d = 4 and 5, and +0.0 for a row of -0.0.
-    If a numpy release adds a row in another order, this names the dimension
-    that moved, where a grid golden only shows that some digest did."""
-    from finecert.bounds import _row_sums
-
-    rng = np.random.default_rng(1000 * d + rows)
-    parts = np.exp(rng.uniform(-30.0, 30.0, size=(rows, d, 2)))
-    parts *= rng.choice([-1.0, 1.0], size=parts.shape)
-    zeros = rng.random(size=parts.shape) < 0.3
-    parts[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
-    if rows > 2:
-        parts[1] = -0.0  # every part -0.0
-        parts[2, :, 0] = [0.0, -0.0, 0.0, -0.0, -0.0][:d]
-    prod = parts[..., 0] + 1j * parts[..., 1]
-    assert _row_sums(prod).tobytes() == np.sum(prod, axis=1).real.tobytes()
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -463,3 +444,13 @@ def test_hyperspherical_state_keeps_the_scalar_loop_bytes(angles):
     got = hyperspherical_state(x, phi)
     assert got.dtype == np.complex128 and got.shape == (len(x) + 1,)
     assert got.tobytes() == reference_state(x, phi).tobytes()
+
+
+@pytest.mark.parametrize("axes", [("X", "x"), ("z", "Z")])
+def test_pauli_pair_axes_differ_after_case_folding(axes):
+    with pytest.raises(ValueError) as info:
+        pauli_pair_ensemble(*axes)
+    assert str(info.value) == "the two Pauli measurements must differ"
+    # the case of an axis names the same measurement, so it gives the same operator
+    upper = certainty_operator(pauli_pair_ensemble("X", "z"))
+    assert upper.tobytes() == certainty_operator(pauli_pair_ensemble("x", "z")).tobytes()

@@ -228,3 +228,10 @@ def test_bound_error_messages(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert err == f"finecert bound: {message}\n"
+
+
+def test_bound_pauli_pair_of_one_axis_in_two_cases_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "bound", "--pauli-pair", "X", "x")
+    assert code == 3
+    assert out == ""
+    assert err == "finecert bound: the two Pauli measurements must differ\n"

@@ -8,7 +8,10 @@ unit vectors has the top eigenvalue (1 + |<u|v>|)/2. Near the computational
 basis the symmetric layout's singleton arguments fall in the monotone window
 at d >= 5 too, where the net work must not be positive. With the standard
 components and uniform priors, any singleton layout's net work is its
-binary-entropy form, and no singleton argument exceeds the pair bound.
+binary-entropy form, no singleton argument exceeds the pair bound, and near
+the computational basis a random singleton layout in the window extracts no
+net work. The certainty bound of any ensemble lies between its largest
+weight and 1.
 """
 
 import numpy as np
@@ -75,14 +78,18 @@ def test_second_law_holds_in_window_near_the_computational_basis(d):
     assert max(inside) <= 1e-9
 
 
-def random_singleton_cycle(d, seed):
-    """delta_w of the standard cycle under uniform priors, a Haar basis and a
-    layout whose designated component per outcome is drawn at random, the
-    rest merged."""
-    rng = np.random.default_rng(seed)
+def random_singleton_layout(d, rng):
+    """A layout whose designated component per outcome is drawn at random, the rest merged."""
     singles = tuple(int(s) for s in rng.integers(d, size=d))
     groups = tuple((tuple(i for i in range(d) if i != s), (s,)) for s in singles)
-    layout = MembraneLayout(name="random", groups=groups, singletons=singles)
+    return MembraneLayout(name="random", groups=groups, singletons=singles)
+
+
+def random_singleton_cycle(d, seed):
+    """delta_w of the standard cycle under uniform priors, a Haar basis and a
+    random singleton layout."""
+    rng = np.random.default_rng(seed)
+    layout = random_singleton_layout(d, rng)
     return delta_w(cycle_config(d, basis=haar_random_basis(d, rng), layout=layout))
 
 
@@ -97,3 +104,33 @@ def test_random_singleton_layout_matches_its_binary_entropy_form(d, seed):
 def test_random_singleton_arguments_stay_below_the_bound(d, seed):
     report = random_singleton_cycle(d, seed)
     assert max(report.singleton_args) <= report.zeta + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7, 11, 13]), eps=st.floats(0.0, 0.3), seed=SEEDS)
+def test_in_window_cycles_extract_no_net_work(d, eps, seed):
+    # near the computational basis a random singleton layout often lands in
+    # the window, which a Haar basis almost never does at d >= 5
+    rng = np.random.default_rng(seed)
+    layout = random_singleton_layout(d, rng)
+    report = delta_w(cycle_config(d, basis=perturbed_computational_basis(d, eps, rng), layout=layout))
+    if report.in_window:
+        assert report.delta_w <= 1e-9
+
+
+def random_projector(rng, d, rank):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q = np.linalg.qr(z)[0][:, :rank]
+    return q @ q.conj().T
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 6), n_terms=st.integers(1, 4), seed=SEEDS)
+def test_zeta_lies_between_the_largest_weight_and_one(d, n_terms, seed):
+    # the top outcome's own subspace gives its weight; no state gives more than the sum
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_terms))
+    ens = measurement_ensemble(
+        [(f"t{t}", w, random_projector(rng, d, int(rng.integers(1, d)))) for t, w in enumerate(weights)]
+    )
+    assert weights.max() - 1e-12 <= zeta_spectral(ens).zeta <= 1.0 + 1e-12

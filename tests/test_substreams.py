@@ -1,11 +1,11 @@
 """A scan's per-sample substreams, derived in bulk, and the checks before a scan.
 
 ``scan_bases`` derives the PCG64 seed words of sample i without building
-``SeedSequence(seed).spawn(n)[i]``. These tests pin those words to numpy's
-own for any seed and any range of children, pin the membrane bases a cold
-scan draws to ``haar_random_basis`` fed from numpy's spawned generators, and
-check that a bad sample count, a bad seed or a huge prime dimension is
-rejected before any work.
+``SeedSequence(seed).spawn(n)[i]``; ``test_numpy_copies`` pins those words
+to numpy's own. These tests pin the membrane bases a cold scan draws to
+``haar_random_basis`` fed from numpy's spawned generators, and check that a
+bad sample count, a bad seed or a huge prime dimension is rejected before
+any work.
 """
 
 import time
@@ -13,8 +13,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finecert import cycle
 from finecert.cli import main
@@ -27,50 +25,19 @@ from finecert.cycle import (
     scan_bases,
 )
 from finecert.mub import _check_dim, is_prime
+# collected here too, so this module keeps their test IDs
+from test_numpy_copies import (  # noqa: F401
+    test_child_seed_draws_as_default_rng,
+    test_child_seed_holds_only_pcg64_words,
+    test_child_states_at_word_boundaries,
+    test_child_states_equal_spawned_seed_sequences,
+)
 
 TOL = 1e-12
 MERSENNE_61 = 2**61 - 1
 
 
-def numpy_child_states(seed, first, count):
-    children = np.random.SeedSequence(seed).spawn(first + count)[first:]
-    return np.array([s.generate_state(4, np.uint64) for s in children], dtype=np.uint64).reshape(count, 4)
-
-
 # ---------------------------------------------------------------- substreams
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**200), first=st.integers(0, 300), count=st.integers(1, 40))
-def test_child_states_equal_spawned_seed_sequences(seed, first, count):
-    got = cycle._child_states(cycle._spawn_prefix(seed), first, count)
-    assert got.dtype == np.uint64 and got.shape == (count, 4)
-    assert np.array_equal(got, numpy_child_states(seed, first, count))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**128 + 7, 3**100])
-def test_child_states_at_word_boundaries(seed):
-    prefix = cycle._spawn_prefix(seed)
-    whole = cycle._child_states(prefix, 0, 70)
-    assert np.array_equal(whole, numpy_child_states(seed, 0, 70))
-    split = np.concatenate([cycle._child_states(prefix, 0, 33), cycle._child_states(prefix, 33, 37)])
-    assert np.array_equal(split, whole)
-
-
-def test_child_seed_draws_as_default_rng():
-    words = cycle._child_states(cycle._spawn_prefix(5), 0, 3)[2]
-    derived = np.random.Generator(np.random.PCG64(cycle._child_seed_type()(words)))
-    spawned = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
-    assert np.array_equal(derived.standard_normal(100), spawned.standard_normal(100))
-    assert derived.bit_generator.state == spawned.bit_generator.state
-
-
-def test_child_seed_holds_only_pcg64_words():
-    seed = cycle._child_seed_type()(cycle._child_states(cycle._spawn_prefix(5), 0, 1)[0])
-    with pytest.raises(ValueError, match="four uint64 words"):
-        seed.generate_state(8, np.uint64)
-    with pytest.raises(ValueError, match="four uint64 words"):
-        seed.generate_state(4, np.uint32)
 
 
 def scan_with_bases(monkeypatch, d, n, seed, layout):

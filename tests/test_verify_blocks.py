@@ -9,6 +9,7 @@ for MUB families, tied families, other dtypes and single-entry corruptions,
 including blocks small enough that one family spans many of them.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -166,3 +167,17 @@ def test_single_entry_corruptions_match_the_pair_scan(data, d, change, twice, pe
     else:
         with blocks_of(per_block, d):
             assert_same_report(family)
+
+
+@pytest.mark.parametrize("d", [31, 61])
+def test_working_memory_stays_within_a_few_blocks(d):
+    # the d = 61 family alone is 3.5 MiB; its products and deviations are
+    # formed a block of 256 KiB at a time
+    family = mub_family(d)
+    tracemalloc.start()
+    try:
+        verify_mub(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
