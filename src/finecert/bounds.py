@@ -331,7 +331,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
 
 def pauli_pair_ensemble(axis1: str = "x", axis2: str = "z", outcomes=(0, 0)) -> MeasurementEnsemble:
     """Equal-weight qubit ensemble of one outcome from each of two Pauli bases."""
-    if axis1.lower() == axis2.lower():  # as qubit.pauli_eigenbasis reads them
+    if _qubit._check_axis(axis1) == _qubit._check_axis(axis2):  # compared case-folded
         raise ValueError("the two Pauli measurements must differ")
     o1, o2 = (check_index(o, "outcome") for o in outcomes)
     return measurement_ensemble(

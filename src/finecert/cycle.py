@@ -280,20 +280,22 @@ def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndar
     """probs[k, i, j] = <e_j| rho_i |e_j> in basis k, clamped against roundoff
     below zero.
 
-    The components go through in blocks, as many as keep the stacked product
-    within ``_PROBABILITY_BLOCK_BYTES`` (at least one), so memory stays at
-    O(n d^2). numpy's stacked matmul still makes one d x d GEMM per (basis,
-    component) pair, and each row is summed alone, so the bits are those of
-    one product per component.
+    The conjugated bases are stacked row on row into one (n d, d) matrix, so
+    each component costs one (n d x d) (d x d) GEMM over the whole stack. The
+    components go through in blocks, as many as keep the product within
+    ``_PROBABILITY_BLOCK_BYTES`` (at least one), so memory stays at O(n d^2).
+    Stacking rows leaves each element's dot product as it was, and each row
+    is summed alone, so the bits are those of one product per basis and
+    component.
     """
     n, d = bases.shape[0], bases.shape[1]
     probs = np.empty((n, len(components), d))
-    conj, rows = bases.conj()[:, None], bases[:, None]
+    lhs = bases.conj().reshape(n * d, d)
     block = max(1, _PROBABILITY_BLOCK_BYTES // (16 * n * d * d))
     for lo in range(0, len(components), block):
-        prod = np.matmul(conj, components[lo : lo + block])
-        prod *= rows
-        probs[:, lo : lo + block] = prod.sum(axis=-1).real
+        prod = np.matmul(lhs, components[lo : lo + block]).reshape(-1, n, d, d)
+        prod *= bases
+        probs[:, lo : lo + block] = prod.sum(axis=-1).real.swapaxes(0, 1)
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
@@ -428,11 +430,11 @@ def _cycle_kernel(cycle: _Cycle, bases: np.ndarray) -> _CycleBatch:
         s = _singleton_args(probs, cycle.plan)
         zeta = cycle.zeta
         if zeta is not None:
-            in_window = np.all(s >= 1.0 - zeta, axis=1) & np.all(s <= zeta + WINDOW_SLACK, axis=1)
+            in_window = ((s >= 1.0 - zeta) & (s <= zeta + WINDOW_SLACK)).all(axis=1)
             excess = s.max(axis=1) - zeta
         if cycle.hb_applies:
             hb = _row_entropies(np.stack([s, 1.0 - s], axis=-1))  # s is clipped into [0, 1]
-            hb_form = cycle.hb_zeta - hb.mean(axis=1)
+            hb_form = cycle.hb_zeta - hb.sum(axis=1) / hb.shape[1]  # the bits of hb.mean(axis=1)
             residual = np.abs(delta - hb_form)
     return _CycleBatch(
         w1=w1,
@@ -588,14 +590,20 @@ def _haar_bases(d: int, rngs) -> np.ndarray:
     """One Haar-random basis (rows) per generator, stacked as (n, d, d).
 
     Each generator draws the real then the imaginary Gaussian part of its own
-    matrix in one call; the complex stack is formed once, and one stacked QR
-    follows, with the R-diagonal phases folded back in. Nothing is checked
-    here: finite normals through Householder QR give orthonormal rows, and a
-    caller's generator is checked in ``haar_random_basis``.
+    matrix in one call. Nothing is checked here: finite normals through
+    Householder QR give orthonormal rows, and a caller's generator is checked
+    in ``haar_random_basis``.
     """
     g = np.empty((len(rngs), 2, d, d))
     for k, rng in enumerate(rngs):
         g[k] = rng.standard_normal((2, d, d))
+    return _bases_from_normals(g)
+
+
+def _bases_from_normals(g: np.ndarray) -> np.ndarray:
+    """The Haar-random bases (rows) of a stack of normals g[k] = (real, imaginary)
+    parts, shape (n, 2, d, d): the complex stack is formed once, and one stacked
+    QR follows, with the R-diagonal phases folded back in."""
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
@@ -695,14 +703,24 @@ _STATE_HASH = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
 _STATE_POOL_WORD = np.arange(2 * _POOL_WORDS) % _POOL_WORDS
 
 
+@functools.lru_cache(maxsize=None)
+def _key_hashes(hashes: int) -> np.ndarray:
+    """Read-only hash constants of the four key-word hashes that follow
+    ``hashes`` earlier ones, shape (5,)."""
+    chain = _hash_chain(_INIT_A, _MULT_A, hashes + _POOL_WORDS)[hashes:]
+    chain.setflags(write=False)
+    return chain
+
+
 def _spawn_prefix(seed: int) -> tuple:
     """What every spawned child of ``seed`` shares, as uint32 arrays: its pool
     scaled by the mix multiplier, (4,), and the hash constants of the four
     key-word hashes, (5,). The pool is numpy's ``SeedSequence(seed).pool``;
-    mixing the seed's words took 16 hashes, plus 4 per word beyond the fourth."""
+    mixing the seed's words took 16 hashes, plus 4 per word beyond the fourth,
+    so the constants depend only on the seed's word count."""
     hashes = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - _POOL_WORDS)
     scaled_pool = np.random.SeedSequence(seed).pool * np.uint32(_MIX_MULT_L)
-    return scaled_pool, _hash_chain(_INIT_A, _MULT_A, hashes + _POOL_WORDS)[hashes:]
+    return scaled_pool, _key_hashes(hashes)
 
 
 def _child_states(prefix: tuple, first: int, count: int) -> np.ndarray:
@@ -801,8 +819,10 @@ def scan_bases(
     from ``default_rng(SeedSequence(seed).spawn(n_samples)[i])``, so the
     report does not depend on evaluation order. Those substreams are derived
     bit for bit, a chunk at a time in one vectorized pass, without building
-    the spawned SeedSequences. Samples run through the batched kernel in
-    chunks of ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn,
+    the spawned SeedSequences; each sample's generator draws its normals
+    straight into the chunk's buffer, and one stacked QR turns the chunk into
+    bases. Samples run through the batched kernel in chunks of
+    ``SCAN_CHUNK_BYTES``; at most ``MAX_SCAN_SAMPLES`` are drawn,
     and their count must be an integer. The default layout, the paper
     preset, comes with the standard cycle of d, built once; a layout the
     caller passes is checked on each call.
@@ -822,16 +842,22 @@ def scan_bases(
         cycle = dataclasses.replace(cycle, layout=layout, plan=_layout_plan(layout, d))
 
     prefix = _spawn_prefix(seed)
-    child_seed = _child_seed_type()
+    # PCG64 reads its seed words once, in its constructor, so one holder
+    # serves every sample; each generator is dropped after its one draw
+    child_seed = _child_seed_type()(None)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     chunk = _chunk_samples(d)
+    normals = np.empty((min(chunk, n_samples), 2, d, d))
     singles = cycle.plan.singletons is not None  # then window, excess and residual are all set
     deltas, excess, residual = np.empty((3, n_samples))
     in_window = np.zeros(n_samples, dtype=bool)
     for start in range(0, n_samples, chunk):
-        states = _child_states(prefix, start, min(chunk, n_samples - start))
-        rngs = [np.random.Generator(np.random.PCG64(child_seed(words))) for words in states]
-        batch = _cycle_kernel(cycle, _haar_bases(d, rngs))
-        stop = start + len(rngs)
+        stop = min(start + chunk, n_samples)
+        g = normals[: stop - start]
+        for k, words in enumerate(_child_states(prefix, start, stop - start)):
+            child_seed.words = words
+            generator(pcg64(child_seed)).standard_normal(out=g[k])
+        batch = _cycle_kernel(cycle, _bases_from_normals(g))
         deltas[start:stop] = batch.delta_w
         if singles:
             in_window[start:stop] = batch.in_window
@@ -847,7 +873,7 @@ def scan_bases(
         zeta=cycle.zeta,
         delta_w_min=float(deltas.min()),
         delta_w_max=float(deltas.max()),
-        delta_w_mean=float(deltas.mean()),
+        delta_w_mean=float(deltas.sum() / n_samples),  # the bits of deltas.mean()
         histogram_counts=tuple(counts.tolist()),
         histogram_edges=tuple(edges.tolist()),
         max_consistency_residual=float(residual.max()) if singles else 0.0,

@@ -78,11 +78,17 @@ def spin_projector(k) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + k[0] * SIGMA_X + k[1] * SIGMA_Y + k[2] * SIGMA_Z)
 
 
+def _check_axis(axis) -> str:
+    """A Pauli axis name, x, y or z in either case, folded to lower case."""
+    axis = axis.lower() if isinstance(axis, str) else axis
+    if not isinstance(axis, str) or axis not in PAULI_AXES:
+        raise ValueError(f"axis must be one of x, y, z (got {axis!r})")
+    return axis
+
+
 def pauli_eigenbasis(axis: str) -> np.ndarray:
     """Rows (outcome 0, outcome 1) = (+1, -1) eigenvectors of the Pauli on ``axis``."""
-    axis = axis.lower()
-    if axis not in PAULI_AXES:
-        raise ValueError(f"axis must be one of x, y, z (got {axis!r})")
+    axis = _check_axis(axis)
     s = 1.0 / np.sqrt(2.0)
     if axis == "x":
         return np.array([[s, s], [s, -s]], dtype=complex)

@@ -451,6 +451,8 @@ def test_pauli_pair_axes_differ_after_case_folding(axes):
     with pytest.raises(ValueError) as info:
         pauli_pair_ensemble(*axes)
     assert str(info.value) == "the two Pauli measurements must differ"
+    with pytest.raises(ValueError, match=r"axis must be one of x, y, z \(got 1\)"):
+        pauli_pair_ensemble(1, "z")
     # the case of an axis names the same measurement, so it gives the same operator
     upper = certainty_operator(pauli_pair_ensemble("X", "z"))
     assert upper.tobytes() == certainty_operator(pauli_pair_ensemble("x", "z")).tobytes()

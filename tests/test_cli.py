@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from finecert.cli import main, render_json
+from finecert.cli import MAX_ALPHA_STEPS, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,16 @@ def test_scan_alpha_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "alpha,closed_form,quadrature"
     assert len(lines) == 4
+
+
+def test_scan_alpha_caps_steps_before_building_rows(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, out, err = run_cli(capsys, "scan-alpha", "--steps", str(MAX_ALPHA_STEPS + 1))
+    assert code == 3 and out == ""
+    assert err == f"finecert scan-alpha: --steps must be <= {MAX_ALPHA_STEPS} (got {MAX_ALPHA_STEPS + 1})\n"
 
 
 def test_cycle_computational(capsys):

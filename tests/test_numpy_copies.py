@@ -1,13 +1,17 @@
 """The package's copies of numpy internals, each checked against numpy itself.
 
-Three functions reproduce numpy's own arithmetic so that their results keep
+Four functions reproduce numpy's own arithmetic so that their results keep
 numpy's bits:
 
 - ``bounds._row_sums`` sums a grid block's columns in the order numpy 2.4
   uses for ``np.sum(prod, axis=1)``;
 - ``cycle._child_states`` derives the seed words of
   ``SeedSequence(seed).spawn(n)[i]`` without building the children;
-- ``cycle._histogram`` bins by ``np.histogram``'s documented edge rule.
+- ``cycle._histogram`` bins by ``np.histogram``'s documented edge rule;
+- ``cycle._outcome_probabilities`` runs one (n d x d) (d x d) GEMM per
+  component over a whole stack of bases, which keeps the bits of one d x d
+  product per basis only while BLAS computes each element of a tall product
+  as it does in a square one.
 
 CI runs this module first and stops at the first failure, so a numpy or BLAS
 change that moves one of them fails here with a message naming the copy and
@@ -25,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finecert import cycle
+from test_probability_blocks import components, haar_stack, reference_probabilities
 
 BINS = 20
 SEEDS = st.integers(0, 2**32 - 1)
@@ -34,6 +39,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 ROW_SUMS = f"bounds._row_sums no longer follows numpy {np.__version__}"
 CHILD_STATES = f"cycle._child_states no longer follows numpy {np.__version__}"
 HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
+PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------- bounds._row_sums
@@ -204,3 +210,16 @@ def test_non_finite_values_raise_numpys_message(values):
     message = histogram_outcome(cycle._histogram, np.array(values))
     assert isinstance(message, str) and "not finite" in message, HISTOGRAM
     assert message == histogram_outcome(reference_histogram, np.array(values)), HISTOGRAM
+
+
+# ---------------------------------------------------------------- cycle._outcome_probabilities
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("d", [3, 31, 61])
+def test_stacked_probabilities_keep_the_bytes_of_one_product_per_component(d, kind):
+    comps = components(d, kind)
+    for n in (1, cycle._chunk_samples(d)):
+        bases = haar_stack(d, n, 2)
+        got = cycle._outcome_probabilities(bases, comps)
+        assert got.tobytes() == reference_probabilities(bases, comps).tobytes(), PROBABILITIES

@@ -1,11 +1,12 @@
 """The outcome probabilities of a stack of bases, pinned byte for byte to one
 product per component.
 
-``_outcome_probabilities`` takes the components in blocks. Each block is one
-stacked matmul, which numpy runs as one d x d GEMM per (basis, component)
-pair, the same call that a product per component makes. The reference below
-is that per-component loop, kept as it was before the blocks; every case
-must match it in every byte.
+``_outcome_probabilities`` stacks the conjugated bases row on row into one
+(n d, d) matrix and takes the components in blocks. Each block is one
+matmul, which numpy runs as one (n d x d) (d x d) GEMM per component; each
+element of it is the dot product that a d x d product per basis computes.
+The reference below is that per-component loop, kept as it was before the
+blocks; every case must match it in every byte.
 """
 
 import numpy as np

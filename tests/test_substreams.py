@@ -64,6 +64,9 @@ def scan_with_bases(monkeypatch, d, n, seed, layout):
         (3, 50, 0, "finest"),
         (31, 3, 7, "paper_preset"),
         (31, cycle._chunk_samples(31) + 2, 2**70, "symmetric_preset"),
+        # five and six seed words: more than 16 hashes before the key word
+        (3, 20, 2**128 + 5, "paper_preset"),
+        (5, 12, 2**160 + 1, "symmetric_preset"),
     ],
 )
 def test_cold_scan_equals_numpy_spawned_reference(monkeypatch, d, n, seed, factory):
