@@ -27,14 +27,13 @@ from . import qubit as _qubit
 from .numerics import (
     DEGENERACY_TOL,
     PROBABILITY_SUM_TOL,
+    ROUNDOFF_TOL,
     check_index,
     check_state_vector,
     fix_global_phase,
     hermitian_eig,
     hermiticity_deviation,
 )
-
-IDEMPOTENCY_TOL = 1e-10
 
 #: Hard cap on grid-search size, about a minute of vectorized evaluation.
 MAX_GRID_POINTS = 500_000_000
@@ -60,7 +59,7 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
     """Validate and freeze (label, weight, projector) triples into an ensemble.
 
     Weights must be >= 0 and sum to 1 within ``PROBABILITY_SUM_TOL``; every
-    projector must be Hermitian and idempotent within ``IDEMPOTENCY_TOL``
+    projector must be Hermitian and idempotent within ``ROUNDOFF_TOL``
     (rank above 1 is allowed, which coarse-grains several outcomes into one).
     """
     packed = []
@@ -83,10 +82,10 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
                 f"dimension mismatch: term {label!r} is {p.shape[0]}-dimensional, expected {dim}"
             )
         dev = hermiticity_deviation(p)
-        if dev > IDEMPOTENCY_TOL:
+        if dev > ROUNDOFF_TOL:
             raise ValueError(f"projector for term {label!r} not Hermitian: deviation {dev:.3e}")
         idem = float(np.max(np.abs(p @ p - p)))
-        if idem > IDEMPOTENCY_TOL:
+        if idem > ROUNDOFF_TOL:
             raise ValueError(f"projector for term {label!r} not idempotent: deviation {idem:.3e}")
         packed.append(EnsembleTerm(label=str(label), weight=weight, projector=p))
     if not packed:

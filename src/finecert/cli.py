@@ -217,6 +217,7 @@ def _parse_basis_label(text: str):
 def _cmd_mub(args) -> dict:
     from . import mub as _mub
 
+    _mub._check_tol(args.tol)  # checked with or without --verify: the parameters echo it
     family = _mub.mub_family(args.d)
     payload = {
         "d": family.d,
@@ -257,7 +258,12 @@ def _cmd_bound(args) -> dict:
     from . import bounds as _bounds
     from . import qubit as _qubit
 
+    # an option no mode reads is rejected, not ignored
+    if args.bases is not None and args.d is None:
+        raise ValueError("--bases applies to --d mode only")
     if args.gamma is not None:
+        if args.outcomes is not None:
+            raise ValueError("--gamma takes no --outcomes")
         zeta = _qubit.pair_bound(args.gamma)
         payload = {
             "zeta": zeta,
@@ -351,11 +357,10 @@ def _cmd_cycle(args) -> dict:
         )
         return _result("cycle", parameters, report.as_dict(), "numerical scan")
 
-    if args.basis == "computational":
-        basis = None
-    else:
-        rng = np.random.default_rng(_cycle._scan_seed(args.seed))
-        basis = _cycle.haar_random_basis(args.d, rng)
+    seed = _cycle._scan_seed(args.seed)  # checked for the computational basis too
+    basis = None
+    if args.basis == "random":
+        basis = _cycle.haar_random_basis(args.d, np.random.default_rng(seed))
     cfg = _cycle.cycle_config(args.d, priors=priors, basis=basis, layout=layout)
     report = _cycle.delta_w(cfg, counterfactual_zeta=args.counterfactual_zeta)
     return _result("cycle", parameters, report.as_dict(), "numerical")

@@ -55,13 +55,13 @@ from .bounds import mub_pair_bound
 from .numerics import (
     MAX_DIM,
     PROBABILITY_SUM_TOL,
+    ROUNDOFF_TOL,
     binary_entropy,
     check_index,
     shannon_entropy,
     von_neumann_entropy,
 )
 
-BASIS_TOL = 1e-10
 UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
 WINDOW_SLACK = 1e-10
@@ -158,9 +158,9 @@ class CycleConfig:
 
 
 def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
-    """The basis (rows), if max |B B^dag - I| <= ``BASIS_TOL``; NaN fails."""
+    """The basis (rows), if max |B B^dag - I| <= ``ROUNDOFF_TOL``; NaN fails."""
     deviation = float(np.abs(basis @ basis.conj().T - np.eye(len(basis))).max())
-    if not deviation <= BASIS_TOL:
+    if not deviation <= ROUNDOFF_TOL:
         raise ValueError(f"membrane basis not orthonormal: deviation {deviation:.3e}")
     return basis
 
@@ -586,20 +586,6 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
     )
 
 
-def _haar_bases(d: int, rngs) -> np.ndarray:
-    """One Haar-random basis (rows) per generator, stacked as (n, d, d).
-
-    Each generator draws the real then the imaginary Gaussian part of its own
-    matrix in one call. Nothing is checked here: finite normals through
-    Householder QR give orthonormal rows, and a caller's generator is checked
-    in ``haar_random_basis``.
-    """
-    g = np.empty((len(rngs), 2, d, d))
-    for k, rng in enumerate(rngs):
-        g[k] = rng.standard_normal((2, d, d))
-    return _bases_from_normals(g)
-
-
 def _bases_from_normals(g: np.ndarray) -> np.ndarray:
     """The Haar-random bases (rows) of a stack of normals g[k] = (real, imaginary)
     parts, shape (n, 2, d, d): the complex stack is formed once, and one stacked
@@ -619,7 +605,7 @@ def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"d must be >= 1 (got {d})")
     if d > MAX_DIM:
         raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
-    return _check_orthonormal(_haar_bases(d, [rng])[0])
+    return _check_orthonormal(_bases_from_normals(rng.standard_normal((1, 2, d, d)))[0])
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import qubit as _qubit
 from .numerics import MAX_DIM, check_index
-from .numerics import MAX_DIM as MAX_MUB_DIM  # mub's name for the one cap
 
 #: Label of the computational (Z eigenbasis) member of a family.
 Z_LABEL = "z"
@@ -263,6 +262,14 @@ def _last_worst(maxima: np.ndarray):
     return int(hits[-1]) if hits.size else None
 
 
+def _check_tol(tol: float) -> None:
+    """A verification tolerance is finite and non-negative (no family meets a negative one)."""
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance must be finite (got {tol})")
+    if tol < 0:
+        raise ValueError(f"tolerance must be non-negative (got {tol})")
+
+
 def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     """Check every within-basis Gram entry and every cross-basis overlap.
 
@@ -282,10 +289,7 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     whose largest deviation ties the overall maximum; a NaN deviation is
     never it.
     """
-    if not np.isfinite(tol):
-        raise ValueError(f"tolerance must be finite (got {tol})")
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative (got {tol})")
+    _check_tol(tol)
     d = family.d
     shape = np.shape(family.bases)
     if shape != (d + 1, d, d):

@@ -15,12 +15,14 @@ import numpy as np
 #: The one dimension cap: of eigensolver matrices, and of d (``mub._check_dim``).
 MAX_DIM = 64
 
-#: Hermiticity tolerance for generic operator inputs.
-HERMITIAN_TOL = 1e-10
+#: The one roundoff allowance for a caller's structured input. It governs five
+#: checks: a Hermitian operator, a normalized state, an ensemble projector's
+#: Hermiticity and idempotency (``bounds``), a unit direction (``qubit``) and
+#: an orthonormal membrane basis (``cycle``).
+ROUNDOFF_TOL = 1e-10
 
-#: Tolerances for density-matrix validation.
-DENSITY_HERMITIAN_TOL = 1e-12
-DENSITY_TRACE_TOL = 1e-12
+#: A density matrix's Hermiticity and unit-trace tolerance (``_density_spectrum``).
+DENSITY_TOL = 1e-12
 
 #: Spectrum values in [EIGENVALUE_FLOOR, 0) are treated as exact zeros when
 #: taking logarithms; anything below the floor is a genuinely invalid state.
@@ -29,7 +31,6 @@ EIGENVALUE_FLOOR = -1e-10
 #: Top-eigenvalue gap below which a maximizer is reported as non-unique.
 DEGENERACY_TOL = 1e-9
 
-STATE_NORM_TOL = 1e-10
 #: The one sum-to-one tolerance: priors, ensemble and chamber weights, distributions.
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -62,11 +63,11 @@ def hermiticity_deviation(m) -> float:
 
 
 def check_hermitian(m) -> np.ndarray:
-    """``m`` as a square complex matrix, Hermitian within ``HERMITIAN_TOL``."""
+    """``m`` as a square complex matrix, Hermitian within ``ROUNDOFF_TOL``."""
     a = as_square_matrix(m)
     dev = hermiticity_deviation(a)
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
+    if dev > ROUNDOFF_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {ROUNDOFF_TOL:.1e}")
     return a
 
 
@@ -100,7 +101,7 @@ def hermitian_eig(m) -> SpectralDecomposition:
     Parameters
     ----------
     m : array_like
-        Square complex matrix, Hermitian to within ``HERMITIAN_TOL``.
+        Square complex matrix, Hermitian to within ``ROUNDOFF_TOL``.
 
     Returns
     -------
@@ -130,14 +131,14 @@ def fix_global_phase(psi: np.ndarray) -> np.ndarray:
 
 
 def check_state_vector(v, dim: int | None = None) -> np.ndarray:
-    """Validate a normalized complex state vector."""
+    """Validate a normalized complex state vector: | ||v|| - 1 | <= ``ROUNDOFF_TOL``."""
     a = np.asarray(v, dtype=complex).reshape(-1)
     if dim is not None and a.shape[0] != dim:
         raise ValueError(f"state has dimension {a.shape[0]}, expected {dim}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("state contains NaN or Inf entries")
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if abs(norm - 1.0) > ROUNDOFF_TOL:
         raise ValueError(f"state is not normalized: ||v|| = {norm:.12f}")
     return a
 
@@ -152,10 +153,10 @@ def _density_spectrum(rho) -> tuple:
     """Validated density matrix and its ascending eigenvalues (one eigvalsh)."""
     a = as_square_matrix(rho)
     dev = hermiticity_deviation(a)
-    if dev > DENSITY_HERMITIAN_TOL:
+    if dev > DENSITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise ValueError(f"density matrix trace {tr:.12f} != 1")
     lam = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     if float(lam.min()) < EIGENVALUE_FLOOR:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEGENERACY_TOL, check_index, check_state_vector, fix_global_phase
+from .numerics import DEGENERACY_TOL, ROUNDOFF_TOL, check_index, check_state_vector, fix_global_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -26,15 +26,14 @@ PAULI_AXES = {
     "z": np.array([0.0, 0.0, 1.0]),
 }
 
-UNIT_TOL = 1e-10
-
 
 def check_unit_vector(k) -> np.ndarray:
+    """``k`` as a 3-component direction of norm 1 within ``ROUNDOFF_TOL``."""
     a = np.asarray(k, dtype=float).reshape(-1)
     if a.shape[0] != 3:
         raise ValueError(f"expected a 3-component direction, got {a.shape[0]}")
     norm = float(np.linalg.norm(a))
-    if not abs(norm - 1.0) <= UNIT_TOL:  # NaN-safe: a NaN entry gives a NaN norm
+    if not abs(norm - 1.0) <= ROUNDOFF_TOL:  # NaN-safe: a NaN entry gives a NaN norm
         raise ValueError(f"direction is not a unit vector: norm {norm:.12f}")
     return a
 

@@ -393,6 +393,30 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: measurement_ensemble([("a", 1.0, np.ones((2, 3)))]),
+         r"projector for term 'a' is not square: \(2, 3\)"),
+        (lambda: measurement_ensemble([("a", 1.0, [[1.0, 1.0], [0.0, 0.0]])]),
+         "projector for term 'a' not Hermitian: deviation 1.000e\\+00"),
+        (lambda: measurement_ensemble([]), "ensemble needs at least one term"),
+        (lambda: hyperspherical_state([0.1, 0.2], [0.3]),
+         "need d-1 moduli angles and d-1 phases, got 2 and 1"),
+        (lambda: zeta_gridsearch(measurement_ensemble([("a", 1.0, [[1.0]])]), 8),
+         "grid search needs dimension >= 2"),
+        (lambda: zeta_gridsearch(measurement_ensemble([("a", 1.0, projector(np.eye(5)[0]))]), 13),
+         "grid of 815730721 points is too large; reduce steps_per_angle"),
+        (lambda: pauli_triple_ensemble((0, 0)), "need one outcome for each of the axes x, y, z"),
+    ],
+    ids=["not-square", "not-hermitian", "no-terms", "angle-counts", "grid-dim-1", "grid-too-large",
+         "triple-outcomes"],
+)
+def test_malformed_ensembles_and_grids_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "x, phi",
     [
         ([np.nan], [0.0]),

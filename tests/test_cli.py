@@ -115,6 +115,9 @@ def test_scan_alpha_caps_steps_before_building_rows(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "scan-alpha", "--steps", str(MAX_ALPHA_STEPS + 1))
     assert code == 3 and out == ""
     assert err == f"finecert scan-alpha: --steps must be <= {MAX_ALPHA_STEPS} (got {MAX_ALPHA_STEPS + 1})\n"
+    code, out, err = run_cli(capsys, "scan-alpha", "--steps", "1")
+    assert code == 3 and out == ""
+    assert err == "finecert scan-alpha: --steps must be >= 2 (got 1)\n"
 
 
 def test_cycle_computational(capsys):
@@ -180,6 +183,8 @@ def test_render_json_formats():
     assert render_json([1.0, -0.0]) == "[1, 0]"
     value = 0.1234567890123456789
     assert json.loads(render_json(value)) == value
+    with pytest.raises(ValueError, match=r"^cannot serialize set value \{1\}$"):
+        render_json({"a": {1}})
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -208,10 +213,27 @@ def test_mub_negative_tolerance_is_invalid_parameter(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("samples", ["1", "4"])
-def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples):
+@pytest.mark.parametrize("tol, message", [
+    ("-1", "tolerance must be non-negative (got -1.0)"),
+    ("nan", "tolerance must be finite (got nan)"),
+    ("inf", "tolerance must be finite (got inf)"),
+])
+def test_mub_tolerance_is_checked_without_verify(capsys, tol, message):
+    code, out, err = run_cli(capsys, "mub", "3", "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert err == f"finecert mub: {message}\n"
+
+
+# the seed is checked for the computational basis too, which draws nothing
+@pytest.mark.parametrize(
+    "samples, basis",
+    [("1", "random"), ("4", "random"), ("1", "computational")],
+    ids=["1", "4", "1-computational"],
+)
+def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples, basis):
     code, out, err = run_cli(
-        capsys, "cycle", "--d", "3", "--basis", "random", "--seed", "-1", "--samples", samples
+        capsys, "cycle", "--d", "3", "--basis", basis, "--seed", "-1", "--samples", samples
     )
     assert code == 3
     assert out == ""
@@ -229,6 +251,11 @@ def test_negative_seed_has_one_message_for_single_runs_and_scans(capsys, samples
         (["--d", "3", "--bases", "x", "0"], "unknown basis label 'x'; use 'z' or 0..2"),
         (["--d", "2", "--bases", "z", "x"], "d=2 supports basis labels 'z' and 0 only (got 'x')"),
         (["--d", "9"], "d must be prime (got 9)"),
+        # an option that the mode does not read is rejected, not ignored
+        (["--gamma", "1", "--outcomes", "7"], "--gamma takes no --outcomes"),
+        (["--gamma", "1", "--bases", "0", "1"], "--bases applies to --d mode only"),
+        (["--pauli-triple", "--bases", "z", "0"], "--bases applies to --d mode only"),
+        (["--pauli-pair", "x", "z", "--bases", "z", "0"], "--bases applies to --d mode only"),
     ],
 )
 def test_bound_error_messages(capsys, argv, message):

@@ -372,6 +372,22 @@ def test_work_retrieval_w2_checks_its_components(components, message):
         work_retrieval_w2(cycle_config(3), components)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cycle_config(3, priors=[0.5, 0.5]), "need 3 priors, got 2"),
+        (lambda: cycle_config(3, priors=[1.5, -0.25, -0.25]), "negative prior -2.500e-01"),
+        (lambda: cycle_config(3, priors=[0.5, 0.25, 0.2]), "priors sum to 0.950000000000, not 1"),
+        (lambda: cycle_config(3, basis=np.eye(2)), r"membrane basis must be 3x3, got \(2, 2\)"),
+        (lambda: scan_bases(3, 0, 0), r"n_samples must be >= 1 \(got 0\)"),
+    ],
+    ids=["prior-count", "negative-prior", "prior-sum", "basis-shape", "no-samples"],
+)
+def test_configuration_and_scan_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_zeta_and_the_window_belong_to_the_standard_components():
     # the computational projectors have certainty 1: the pair bound is not theirs
     cfg = cycle_config(3)

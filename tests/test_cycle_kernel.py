@@ -9,7 +9,7 @@ per-sample implementation, and check that chunked scans match unchunked ones.
 import numpy as np
 import pytest
 
-from finecert import cycle, mub
+from finecert import cycle
 from finecert.bounds import measurement_ensemble
 from finecert.cycle import (
     CycleConfig,
@@ -21,6 +21,7 @@ from finecert.cycle import (
     scan_bases,
 )
 from finecert.mub import mub_family, verify_mub
+from finecert.numerics import MAX_DIM
 
 TOL = 1e-12
 
@@ -270,10 +271,10 @@ def test_haar_random_basis_checks_d_first():
         haar_random_basis(0, rng)
     with pytest.raises(ValueError, match=r"d must be >= 1 \(got -2\)"):
         haar_random_basis(-2, rng)
-    with pytest.raises(ValueError, match=f"d={mub.MAX_MUB_DIM + 1} exceeds the supported maximum {mub.MAX_MUB_DIM}"):
-        haar_random_basis(mub.MAX_MUB_DIM + 1, rng)
+    with pytest.raises(ValueError, match=f"d={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"):
+        haar_random_basis(MAX_DIM + 1, rng)
     assert haar_random_basis(1, rng).shape == (1, 1)
-    assert haar_random_basis(mub.MAX_MUB_DIM, rng).shape == (mub.MAX_MUB_DIM, mub.MAX_MUB_DIM)
+    assert haar_random_basis(MAX_DIM, rng).shape == (MAX_DIM, MAX_DIM)
 
 
 def test_measurement_ensemble_rejects_non_finite_input():

@@ -177,6 +177,20 @@ def test_density_matrix_validation():
         check_density_matrix(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hermitian_eig(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: projector([np.nan, 1.0]), "state contains NaN or Inf entries"),
+        (lambda: shannon_entropy([]), "empty probability list"),
+    ],
+    ids=["not-square", "non-finite-state", "empty-distribution"],
+)
+def test_malformed_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("p", [[np.nan], [np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
 def test_shannon_entropy_rejects_non_finite_probabilities(p):
     with pytest.raises(ValueError):

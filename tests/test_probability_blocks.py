@@ -28,7 +28,7 @@ def reference_probabilities(bases, components):
 
 def haar_stack(d, n, seed):
     rng = np.random.default_rng([d, n, seed])
-    return cycle._haar_bases(d, [rng] * n)
+    return cycle._bases_from_normals(rng.standard_normal((n, 2, d, d)))
 
 
 def random_density_matrices(d, seed):

@@ -4,6 +4,7 @@ import pytest
 from finecert.numerics import hermitian_eig
 from finecert.qubit import (
     _average_certainties,
+    angles_to_state,
     average_certainty,
     bloch_to_state,
     pair_bound,
@@ -217,6 +218,21 @@ def test_non_finite_direction_rejected(direction):
         spin_projector(direction)
     with pytest.raises(ValueError):
         pair_certainty(direction, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spin_projector([1.0, 0.0]), "expected a 3-component direction, got 2"),
+        (lambda: angles_to_state(4.0, 0.0), r"theta=4.0 outside \[0, pi\]"),
+        (lambda: angles_to_state(1.0, 7.0), r"phi=7.0 outside \[0, 2 pi\)"),
+        (lambda: pauli_outcome_projector("x", 2), r"outcome must be 0 or 1 \(got 2\)"),
+    ],
+    ids=["direction-length", "theta", "phi", "outcome"],
+)
+def test_out_of_range_qubit_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def one_angle_quadrature(alpha, panels):

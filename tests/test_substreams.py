@@ -111,22 +111,31 @@ def test_sample_cap_is_checked_before_any_allocation():
         scan_bases(3, MAX_SCAN_SAMPLES + 1, 0)
 
 
-@pytest.mark.parametrize("seed", [None, -1, -(2**70), 1.5, 2.0, "3", [1, 2]])
-def test_bad_seed_is_rejected_before_any_sample(monkeypatch, seed):
-    def no_bases(d, rngs):
+def forbid_samples(monkeypatch):
+    """Make turning drawn normals into bases, which every scan chunk does, fail."""
+
+    def no_bases(g):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(cycle, "_haar_bases", no_bases)
+    monkeypatch.setattr(cycle, "_bases_from_normals", no_bases)
+
+
+def test_sample_spy_fires_on_a_valid_scan(monkeypatch):
+    forbid_samples(monkeypatch)
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        scan_bases(3, 4, 0)
+
+
+@pytest.mark.parametrize("seed", [None, -1, -(2**70), 1.5, 2.0, "3", [1, 2]])
+def test_bad_seed_is_rejected_before_any_sample(monkeypatch, seed):
+    forbid_samples(monkeypatch)
     with pytest.raises(ValueError, match=r"seed must be a non-negative integer \(got "):
         scan_bases(3, 4, seed)
 
 
 @pytest.mark.parametrize("n_samples", [2.9, 3.0, "3", None])
 def test_non_integer_sample_count_is_rejected_not_truncated(monkeypatch, n_samples):
-    def no_bases(d, rngs):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(cycle, "_haar_bases", no_bases)
+    forbid_samples(monkeypatch)
     with pytest.raises(ValueError) as info:
         scan_bases(3, n_samples, 0)
     assert str(info.value) == f"n_samples must be an integer (got {n_samples!r})"
@@ -143,6 +152,9 @@ def test_numpy_integer_sample_count_gives_the_int_count_report():
     [
         (["--samples", "1000000000000"], "n_samples=1000000000000 exceeds the supported maximum 1000000"),
         (["--samples", "4", "--seed", "-1"], "seed must be a non-negative integer (got -1)"),
+        (["--samples", "4", "--counterfactual-zeta", "0.9"],
+         "--counterfactual-zeta applies to a single cycle, not a scan"),
+        (["--samples", "4", "--priors", "0.5", "0.25", "0.25"], "the basis scan uses uniform priors"),
     ],
 )
 def test_cli_scan_rejects_bad_samples_and_seed(capsys, argv, message):
