@@ -163,8 +163,7 @@ def hyperspherical_state(x, phi) -> np.ndarray:
         raise ValueError("moduli angles must lie in [0, pi/2]")
     if not (np.all(phi >= 0.0) and np.all(phi < 2.0 * np.pi)):
         raise ValueError("phases must lie in [0, 2 pi)")
-    out = np.empty((1, x.size + 1), dtype=complex)
-    return _grid_amplitudes(list(zip(np.cos(x), np.sin(x))), np.exp(1j * phi), out)[0]
+    return np.array(_grid_amplitudes(list(zip(np.cos(x), np.sin(x))), np.exp(1j * phi)))
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,12 @@ class GridSearchResult:
     phi_step: float
 
 
-#: Amplitude bytes of one grid-search block. A grid that fits is one block;
-#: a larger one loops over its leading angles, so memory stays bounded
-#: whatever the grid size. The cap keeps a block's arrays in cache: at 4 MiB
-#: the d = 3, 16-step grid is one block of 65,536 rows (3.1 MB of
-#: amplitudes) and ran about 2x slower (16.5 vs 8.4 ms) than at 2 MiB, where
-#: it takes 16 blocks of 4,096 rows.
+#: Amplitude bytes of one grid-search block, and of the amplitude tables
+#: together. A grid that fits is one block; a larger one loops over its
+#: leading angles, so memory stays bounded whatever the grid size. The cap
+#: keeps a block's arrays in cache: at 4 MiB the d = 3, 16-step grid is one
+#: block of 65,536 rows (3.1 MB of amplitudes) and ran about 2x slower
+#: (16.5 vs 8.4 ms) than at 2 MiB, where it takes 16 blocks of 4,096 rows.
 GRID_CHUNK_BYTES = 1 << 21
 
 
@@ -208,24 +207,52 @@ def _grid_trailing_axes(d: int, steps: int) -> int:
     return t
 
 
-def _grid_amplitudes(x_trig, phases, out: np.ndarray) -> np.ndarray:
-    """Fill the (n, d) rows of ``out`` with hyperspherical amplitudes.
+def _grid_table_axes(d: int, steps: int, t: int) -> int:
+    """Number s >= t of trailing grid axes the amplitude tables span.
 
-    ``x_trig[m]`` is (cos x_m, sin x_m) and ``phases[m]`` is e^{i phi_m}; each
-    is a scalar shared by every row or a column of n values.
+    The grid axes are x_0..x_{d-2}, then phi_1..phi_{d-1}. Column 0 depends
+    on x_0, column m on x_0..x_m (x_0..x_{d-2} for the last one) and phi_m;
+    a table spans the axes it depends on among the last s. The largest s,
+    up to all 2d-2 axes, whose d complex tables together fit
+    GRID_CHUNK_BYTES, and at least t, where each table is at most a block's
+    column.
     """
-    d = out.shape[1]
-    out[:, 0] = x_trig[0][0]
+    depends = [(0,)] + [tuple(range(min(m, d - 2) + 1)) + (d - 2 + m,) for m in range(1, d)]
+
+    def table_bytes(s):
+        first = 2 * d - 2 - s
+        return sum(16 * steps ** sum(a >= first for a in axes) for axes in depends)
+
+    s = t
+    while s < 2 * d - 2 and table_bytes(s + 1) <= GRID_CHUNK_BYTES:
+        s += 1
+    return s
+
+
+def _grid_amplitudes(x_trig, phases) -> list:
+    """The d hyperspherical amplitude columns, each on the axes it depends on.
+
+    ``x_trig[m]`` is (cos x_m, sin x_m) and ``phases[m - 1]`` is e^{i phi_m}:
+    scalars for one state, or arrays that broadcast against each other, one
+    grid axis each. Column 0 is cos x_0 and column m is e^{i phi_m} sin x_0
+    ... sin x_{m-1} cos x_m (the last one without a cosine). Each entry takes
+    the same operations in the same order whatever the shapes, so a table
+    entry has the bits of a one-state evaluation.
+    """
+    d = len(phases) + 1
+    cols = [np.asarray(x_trig[0][0], dtype=complex)]
     running = 1.0
     for m in range(1, d):
         running = running * x_trig[m - 1][1]
         r = running * x_trig[m][0] if m < d - 1 else running
         phase = phases[m - 1]
+        col = np.empty(np.broadcast_shapes(np.shape(r), np.shape(phase)), dtype=complex)
         # r e^{i phi} term by term, as the scalar product with r + 0i rounds it: numpy's
         # array product may fuse r sin(phi) + 0 cos(phi) and keep an underflowed -0.0
-        out.real[:, m] = r * phase.real - 0.0 * phase.imag
-        out.imag[:, m] = r * phase.imag + 0.0 * phase.real
-    return out
+        np.subtract(np.multiply(r, phase.real, out=col.real), 0.0 * phase.imag, out=col.real)
+        np.add(np.multiply(r, phase.imag, out=col.imag), 0.0 * phase.real, out=col.imag)
+        cols.append(col)
+    return cols
 
 
 def _row_sums(prod: np.ndarray) -> np.ndarray:
@@ -255,14 +282,19 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     included) and d-1 phases over [0, 2 pi) with ``steps_per_angle`` values
     each. Deterministic: on ties the lexicographically smallest angle tuple
     wins. Intended for cross-checking the spectral path in dimension <= 5.
-    The cosines, sines and phase factors of the ``steps_per_angle`` grid
-    values are taken once per call, and every block's columns are lookups
-    into them. Rows are evaluated in blocks of at most ``GRID_CHUNK_BYTES``
-    of amplitudes (one innermost-axis line at the least, the whole grid when
-    it fits), so memory does not grow with the grid. A block's values, the
-    real parts of its rows' sums of conj(psi) * (A psi), are added a column at
-    a time in numpy's own order (``_row_sums``): the real part of a complex
-    sum depends on the real parts alone, so this has the bits of
+
+    Each amplitude column is tabulated on the grid axes it depends on
+    (``_grid_amplitudes``), with the bits of a row-by-row evaluation. Rows
+    are evaluated in blocks of at most ``GRID_CHUNK_BYTES`` of amplitudes
+    (one innermost-axis line at the least, the whole grid when it fits), and
+    a block copies its columns out of the tables at its leading indices. The
+    tables together also fit ``GRID_CHUNK_BYTES``: where the full span would
+    not, they span the trailing axes and as many leading ones as fit
+    (``_grid_table_axes``) and are rebuilt when an outer leading index
+    moves, so memory stays O(block) whatever the grid. A block's values, the
+    real parts of its rows' sums of conj(psi) * (A psi), are added a column
+    at a time in numpy's own order (``_row_sums``): the real part of a
+    complex sum depends on the real parts alone, so this has the bits of
     ``np.sum(prod, axis=1).real`` without numpy's reduction loop per row.
     """
     d = ens.dim
@@ -283,36 +315,47 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     x_grid = np.linspace(0.0, np.pi / 2.0, steps)
     phi_grid = 2.0 * np.pi * np.arange(steps) / steps
     cos_x, sin_x, phase = np.cos(x_grid), np.sin(x_grid), np.exp(1j * phi_grid)
+    axes = 2 * d - 2
     t = _grid_trailing_axes(d, steps)
-    lead = 2 * d - 2 - t
-
-    def trig(axis, i):  # i is one grid index (a leading axis) or a column of them
-        return (cos_x[i], sin_x[i]) if axis < d - 1 else phase[i]
-
-    # the trailing axes' columns are the same in every block, so they are
-    # gathered once, at the grid indices of the rows in C order
+    outer = axes - _grid_table_axes(d, steps, t)  # leading axes fixed in the tables
     block = (steps,) * t
-    trailing_trig = [trig(lead + k, i) for k, i in enumerate(np.indices(block).reshape(t, -1))]
-    amps = np.empty((steps**t, d), dtype=complex)
-    prod = np.empty_like(amps)
+    # The amplitudes are stored a column at a time, so that a column is one
+    # contiguous copy out of its table. The GEMM reads that layout with the
+    # bits of a row-major copy (a test compares every row's value against
+    # the row-major evaluation) and writes its product in C order.
+    columns = np.empty((d,) + block, dtype=complex)
+    amps = columns.reshape(d, -1).T
+    prod = np.empty(amps.shape, dtype=complex)
+
+    def on_axis(values, a, fixed):
+        """``values`` along grid axis a; a fixed axis keeps its one value."""
+        if a < outer:
+            values = values[fixed[a] : fixed[a] + 1]
+        return values.reshape((1,) * a + (-1,) + (1,) * (axes - 1 - a))
 
     best_value = -np.inf
     best_index = None
-    # The outer loop runs over the leading angles (x0 first) in lexicographic
+    # The loops run over the leading angles (x0 first) in lexicographic
     # order; the C-order rows preserve it over the trailing axes, and only a
     # strictly larger value replaces the best, so argmax picks the
     # lexicographically smallest angle tuple on exact ties.
-    for leading in itertools.product(range(steps), repeat=lead):
-        cols = [trig(axis, i) for axis, i in enumerate(leading)] + trailing_trig
-        _grid_amplitudes(cols[: d - 1], cols[d - 1 :], amps)
-        np.matmul(amps, op_t, out=prod)
-        # conjugated in place: the kernel rewrites every entry of the next block
-        np.multiply(np.conjugate(amps, out=amps), prod, out=prod)
-        values = _row_sums(prod)
-        pos = int(np.argmax(values))
-        if float(values[pos]) > best_value:
-            best_value = float(values[pos])
-            best_index = leading + tuple(int(i) for i in np.unravel_index(pos, block))
+    for fixed in itertools.product(range(steps), repeat=outer):
+        tables = _grid_amplitudes(
+            [(on_axis(cos_x, a, fixed), on_axis(sin_x, a, fixed)) for a in range(d - 1)],
+            [on_axis(phase, d - 1 + a, fixed) for a in range(d - 1)],
+        )
+        for inner in itertools.product(range(steps), repeat=axes - t - outer):
+            leading = fixed + inner
+            for m, table in enumerate(tables):  # an axis of length 1 is fixed or unused
+                columns[m] = table[tuple(i if n > 1 else 0 for i, n in zip(leading, table.shape))]
+            np.matmul(amps, op_t, out=prod)
+            # conjugated in place: the next block rewrites every entry
+            np.multiply(np.conjugate(amps, out=amps), prod, out=prod)
+            values = _row_sums(prod)
+            pos = int(np.argmax(values))
+            if float(values[pos]) > best_value:
+                best_value = float(values[pos])
+                best_index = leading + tuple(int(i) for i in np.unravel_index(pos, block))
 
     angles = HypersphericalAngles(
         x=tuple(float(x_grid[i]) for i in best_index[: d - 1]),

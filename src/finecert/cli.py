@@ -333,7 +333,7 @@ def _cmd_cycle(args) -> dict:
     priors = args.priors if args.priors else None
     parameters = {
         "d": args.d,
-        "basis": args.basis,
+        "basis": args.basis or "computational",
         "seed": args.seed,
         "samples": args.samples,
         "layout": args.layout,
@@ -342,12 +342,17 @@ def _cmd_cycle(args) -> dict:
         "per_sample": bool(args.per_sample),
     }
     scan = args.samples > 1
+    # an option that the run does not read is rejected, not ignored
     if scan:
-        # a scan always draws seeded random bases; --basis only affects single runs
+        # a scan always draws seeded random bases, so it takes only --basis random
+        if args.basis == "computational":
+            raise ValueError("--basis computational applies to a single cycle, not a scan")
         if args.counterfactual_zeta is not None:
             raise ValueError("--counterfactual-zeta applies to a single cycle, not a scan")
         if priors is not None:
             raise ValueError("the basis scan uses uniform priors")
+    elif args.per_sample:
+        raise ValueError("--per-sample applies to a scan (--samples above 1), not a single cycle")
     # reject d before a random basis or the O(d^2) symmetric preset is built
     _mub._check_dim(args.d, qubit=True)
     layout = None if args.layout == "paper" else _cycle.MembraneLayout.symmetric_preset(args.d)
@@ -425,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cycle.add_argument("--d", type=int, required=True, help="prime dimension")
     p_cycle.add_argument(
-        "--basis", choices=["computational", "random"], default="computational"
+        "--basis",
+        choices=["computational", "random"],
+        help="membrane basis of a single cycle (default computational); a scan draws random bases",
     )
     p_cycle.add_argument("--seed", type=int, default=0, help="seed for random bases")
     p_cycle.add_argument("--samples", type=int, default=1, help="number of random bases")

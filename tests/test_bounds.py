@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import finecert.bounds as bounds_module
 from finecert.bounds import (
     all_outcome_pairs_bound,
     certainty_operator,
@@ -21,8 +24,6 @@ from finecert.bounds import (
 from finecert.mub import mub_family
 from finecert.numerics import projector
 from finecert.qubit import angles_to_state
-# collected here too, so this module keeps the test ID
-from test_numpy_copies import test_grid_row_sums_pin_numpys_order  # noqa: F401
 
 
 def eig2x2_charpoly(m):
@@ -348,15 +349,28 @@ def test_gridsearch_row_blocks_give_identical_result(monkeypatch):
     assert whole[3].angles.x == (0.0, 0.0) and whole[3].angles.phi == (0.0, 0.0)
 
 
-class _StopAfterFirstBlock(Exception):
+class _StopScan(Exception):
     pass
+
+
+def _stop_after_blocks(blocks, seen):
+    """A ``_row_sums`` that records each block's values and stops the scan
+    after ``blocks`` blocks (never, for None)."""
+    row_sums = bounds_module._row_sums
+
+    def recording(prod):
+        values = row_sums(prod)
+        seen.append(values)
+        if blocks is not None and len(seen) >= blocks:
+            raise _StopScan
+        return values
+
+    return recording
 
 
 def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
     # 12 steps at d = 5 passes MAX_GRID_POINTS with 12**7 rows per x0 value;
     # only the first block is planned and built, then the scan is stopped.
-    import finecert.bounds as bounds_module
-
     steps, d = 12, 5
     assert steps ** (2 * (d - 1)) <= bounds_module.MAX_GRID_POINTS
     t = bounds_module._grid_trailing_axes(d, steps)
@@ -365,16 +379,41 @@ def test_gridsearch_block_plan_bounded_at_d5(monkeypatch):
     assert t < 2 * d - 3
 
     seen = []
-
-    def first_block(x_trig, phases, out):
-        seen.append(out.shape[0])
-        raise _StopAfterFirstBlock
-
-    monkeypatch.setattr(bounds_module, "_grid_amplitudes", first_block)
+    monkeypatch.setattr(bounds_module, "_row_sums", _stop_after_blocks(1, seen))
     ens = measurement_ensemble([("only", 1.0, projector(np.eye(d)[0]))])
-    with pytest.raises(_StopAfterFirstBlock):
+    with pytest.raises(_StopScan):
         zeta_gridsearch(ens, steps)
-    assert seen == [rows]
+    assert [len(values) for values in seen] == [rows]
+
+
+def test_gridsearch_block_spy_sees_every_block(monkeypatch):
+    # positive control for the spy above: a whole d = 3, 16-step scan passes
+    # it once per block (16 blocks of 16**3 rows) and keeps its result
+    ens = mub_pair_ensemble(3, "z", 1, 2, 0)
+    expected = zeta_gridsearch(ens, 16)
+    seen = []
+    monkeypatch.setattr(bounds_module, "_row_sums", _stop_after_blocks(None, seen))
+    got = zeta_gridsearch(ens, 16)
+    assert [len(values) for values in seen] == [16**3] * 16
+    assert got.zeta == expected.zeta == max(float(np.max(v)) for v in seen)
+    assert got.angles == expected.angles
+
+
+@pytest.mark.parametrize("d, steps", [(2, 181), (3, 16), (3, 64), (5, 8)])
+def test_gridsearch_working_memory_within_two_chunks(monkeypatch, d, steps):
+    # the amplitude tables together fit GRID_CHUNK_BYTES beside the block's
+    # arrays; at d = 3, 64 steps tables over every leading axis would take
+    # 8 MiB, so they span x1 and the phases and are rebuilt per x0
+    ens = measurement_ensemble([("only", 1.0, projector(np.eye(d)[0]))])
+    monkeypatch.setattr(bounds_module, "_row_sums", _stop_after_blocks(1, []))
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopScan):
+            zeta_gridsearch(ens, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bounds_module.GRID_CHUNK_BYTES
 
 
 @pytest.mark.parametrize(
@@ -468,6 +507,82 @@ def test_hyperspherical_state_keeps_the_scalar_loop_bytes(angles):
     got = hyperspherical_state(x, phi)
     assert got.dtype == np.complex128 and got.shape == (len(x) + 1,)
     assert got.tobytes() == reference_state(x, phi).tobytes()
+
+
+def reference_grid_blocks(ens, steps):
+    """Yield each block's leading indices and row values as the grid search
+    computed them before it tabulated its amplitude columns: every block
+    builds all its rows' amplitudes in C order, and numpy sums the rows."""
+    d = ens.dim
+    op_t = certainty_operator(ens).T
+    x_grid = np.linspace(0.0, np.pi / 2.0, steps)
+    phi_grid = 2.0 * np.pi * np.arange(steps) / steps
+    cos_x, sin_x, phase = np.cos(x_grid), np.sin(x_grid), np.exp(1j * phi_grid)
+    t = bounds_module._grid_trailing_axes(d, steps)
+    trailing = list(np.indices((steps,) * t).reshape(t, -1))
+    amps = np.empty((steps**t, d), dtype=complex)
+    for leading in itertools.product(range(steps), repeat=2 * d - 2 - t):
+        index = list(leading) + trailing  # one grid index, or a column of them, per axis
+        amps[:, 0] = cos_x[index[0]]
+        running = 1.0
+        for m in range(1, d):
+            running = running * sin_x[index[m - 1]]
+            r = running * cos_x[index[m]] if m < d - 1 else running
+            p = phase[index[d - 2 + m]]
+            amps.real[:, m] = r * p.real - 0.0 * p.imag
+            amps.imag[:, m] = r * p.imag + 0.0 * p.real
+        yield leading, np.sum(np.conjugate(amps) * (amps @ op_t), axis=1).real
+
+
+def reference_gridsearch(ens, steps):
+    """(zeta, x, phi, state) of the whole scan over ``reference_grid_blocks``."""
+    d = ens.dim
+    t = bounds_module._grid_trailing_axes(d, steps)
+    best_value, best_index = -np.inf, None
+    for leading, values in reference_grid_blocks(ens, steps):
+        pos = int(np.argmax(values))
+        if float(values[pos]) > best_value:
+            best_value = float(values[pos])
+            best_index = leading + tuple(int(i) for i in np.unravel_index(pos, (steps,) * t))
+    x = tuple(float(np.linspace(0.0, np.pi / 2.0, steps)[i]) for i in best_index[: d - 1])
+    phi = tuple(float((2.0 * np.pi * np.arange(steps) / steps)[i]) for i in best_index[d - 1 :])
+    return best_value, x, phi, reference_state(x, phi)
+
+
+#: Rows compared per example: whole grids at d = 2 and 3, the first blocks
+#: beyond (a d = 5, 8-step grid has 16.8 M rows and takes about a second).
+_REFERENCE_ROWS = 1 << 17
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    steps=st.integers(8, 12),
+    n_terms=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    trailing=st.sampled_from([None, 2, 3]),
+)
+def test_gridsearch_keeps_the_row_by_row_bits(d, steps, n_terms, seed, trailing):
+    ens = random_ensemble(np.random.default_rng(seed), d, n_terms)
+    # a smaller chunk cap gives fewer trailing axes, narrower tables and
+    # tables rebuilt as the outer leading angles move
+    cap = bounds_module.GRID_CHUNK_BYTES if trailing is None else 16 * d * steps**trailing
+    with mock.patch.object(bounds_module, "GRID_CHUNK_BYTES", cap):
+        rows = steps ** bounds_module._grid_trailing_axes(d, steps)
+        whole = steps ** (2 * d - 2) <= _REFERENCE_ROWS
+        blocks = steps ** (2 * d - 2) // rows if whole else max(1, _REFERENCE_ROWS // rows)
+        seen = []
+        with mock.patch.object(bounds_module, "_row_sums", _stop_after_blocks(None if whole else blocks, seen)):
+            try:
+                got = zeta_gridsearch(ens, steps)
+            except _StopScan:
+                assert not whole
+        expected = itertools.islice(reference_grid_blocks(ens, steps), blocks)
+        assert [v.tobytes() for v in seen] == [v.tobytes() for _, v in expected]
+        if whole:
+            zeta, x, phi, state = reference_gridsearch(ens, steps)
+            assert (got.zeta, got.angles.x, got.angles.phi) == (zeta, x, phi)
+            assert got.state.tobytes() == state.tobytes()
 
 
 @pytest.mark.parametrize("axes", [("X", "x"), ("z", "Z")])

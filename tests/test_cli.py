@@ -225,6 +225,37 @@ def test_mub_tolerance_is_checked_without_verify(capsys, tol, message):
     assert err == f"finecert mub: {message}\n"
 
 
+# an option that the run does not read is rejected, not ignored
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--per-sample"], "--per-sample applies to a scan (--samples above 1), not a single cycle"),
+        (["--samples", "1", "--per-sample"],
+         "--per-sample applies to a scan (--samples above 1), not a single cycle"),
+        (["--samples", "4", "--basis", "computational"],
+         "--basis computational applies to a single cycle, not a scan"),
+    ],
+    ids=["single-per-sample", "one-sample-per-sample", "scan-computational"],
+)
+def test_cycle_rejects_options_the_run_does_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cycle", "--d", "3", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"finecert cycle: {message}\n"
+
+
+def test_cycle_scan_echoes_its_basis(capsys):
+    # a scan draws the same random bases either way; given no --basis it
+    # echoes the single run's default label
+    docs = []
+    for argv in ([], ["--basis", "random"]):
+        code, out, _ = run_cli(capsys, "cycle", "--d", "3", "--samples", "4", "--seed", "5", *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [doc["parameters"]["basis"] for doc in docs] == ["computational", "random"]
+    assert docs[0]["payload"] == docs[1]["payload"]
+
+
 # the seed is checked for the computational basis too, which draws nothing
 @pytest.mark.parametrize(
     "samples, basis",

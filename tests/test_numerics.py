@@ -55,6 +55,26 @@ def test_eig_rejects_oversized():
         hermitian_eig(np.eye(65))
 
 
+def test_eig_reports_a_solver_that_does_not_converge(monkeypatch, capsys):
+    from finecert.cli import main
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(ValueError) as info:
+        hermitian_eig(np.eye(3))
+    assert str(info.value) == (
+        "eigensolver failed to converge (off-diagonal residual 0.000e+00): "
+        "Eigenvalues did not converge"
+    )
+    assert main(["bound", "--d", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("finecert bound: eigensolver failed to converge (off-diagonal residual ")
+    assert err.endswith("): Eigenvalues did not converge\n") and err.count("\n") == 1
+
+
 def test_eig_deterministic():
     rng = np.random.default_rng(7)
     m = random_hermitian(rng, 6)

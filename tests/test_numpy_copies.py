@@ -1,10 +1,13 @@
 """The package's copies of numpy internals, each checked against numpy itself.
 
-Four functions reproduce numpy's own arithmetic so that their results keep
+Five functions reproduce numpy's own arithmetic so that their results keep
 numpy's bits:
 
 - ``bounds._row_sums`` sums a grid block's columns in the order numpy 2.4
   uses for ``np.sum(prod, axis=1)``;
+- ``bounds.zeta_gridsearch`` stores a block's amplitudes a column at a time
+  and multiplies them into a C-order product, which keeps the bits of the
+  row-major block only while BLAS reads both layouts alike;
 - ``cycle._child_states`` derives the seed words of
   ``SeedSequence(seed).spawn(n)[i]`` without building the children;
 - ``cycle._histogram`` bins by ``np.histogram``'s documented edge rule;
@@ -37,6 +40,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 # assertion messages: the copy that failed and the numpy it was checked against
 ROW_SUMS = f"bounds._row_sums no longer follows numpy {np.__version__}"
+GRID_GEMM = f"bounds.zeta_gridsearch's column-major block no longer has the row-major bits on numpy {np.__version__}"
 CHILD_STATES = f"cycle._child_states no longer follows numpy {np.__version__}"
 HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
 PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
@@ -64,6 +68,24 @@ def test_grid_row_sums_pin_numpys_order(d, rows):
         parts[2, :, 0] = [0.0, -0.0, 0.0, -0.0, -0.0][:d]
     prod = parts[..., 0] + 1j * parts[..., 1]
     assert _row_sums(prod).tobytes() == np.sum(prod, axis=1).real.tobytes(), ROW_SUMS
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [8, 181, 4096])
+def test_grid_gemm_reads_column_major_blocks_with_row_major_bits(d, rows):
+    """The grid search's product of a column-major (rows, d) amplitude block
+    with the transposed operator, into a C-order output, has the bits of the
+    same product of a C-order block, which the grid goldens were recorded
+    from."""
+    rng = np.random.default_rng(100 * d + rows)
+    amps = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    op_t = (op + op.conj().T).T
+    columns = np.empty((d, rows), dtype=complex)
+    columns[...] = amps.T
+    got = np.empty((rows, d), dtype=complex)
+    np.matmul(columns.T, op_t, out=got)
+    assert got.tobytes() == (amps @ op_t).tobytes(), GRID_GEMM
 
 
 # ---------------------------------------------------------------- cycle._child_states
