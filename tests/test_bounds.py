@@ -24,6 +24,8 @@ from finecert.bounds import (
 from finecert.mub import mub_family
 from finecert.numerics import projector
 from finecert.qubit import angles_to_state
+# collected here too, so this module keeps the test ID
+from test_numpy_copies import test_grid_row_sums_pin_numpys_order  # noqa: F401
 
 
 def eig2x2_charpoly(m):
