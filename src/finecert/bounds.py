@@ -73,6 +73,8 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
         p = np.asarray(proj, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"projector for term {label!r} is not square: {p.shape}")
+        if p.shape[0] == 0:
+            raise ValueError(f"projector for term {label!r} is empty: {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError(f"projector for term {label!r} contains NaN or Inf entries")
         if dim is None:

@@ -11,10 +11,12 @@ written to stdout a slice at a time.
 
 A MUB family holds about d + 2 distinct amplitudes. `mub 61 --verify` prints
 10 MB; in a fresh process with no `__pycache__` and PYTHONDONTWRITEBYTECODE=1
-(medians of 11 runs, one thread, 2-vCPU x86-64 VM) its stages take about
-150 ms interpreter start and import, 4 ms family, 100 ms verification, 29 ms
-rendering and 10 ms writing to a pipe, 290 ms in all. Each command imports
-only the submodules it calls. Payloads go to stdout, diagnostics to stderr.
+(medians of two sets of 11 runs, one thread, a 2-vCPU x86-64 VM under
+varying load) its stages take about 110-130 ms import after interpreter
+start, 5 ms family, 120-133 ms verification (152-154 ms in the same runs with
+one GEMM per pair of bases), 40 ms rendering and 10 ms writing to a pipe,
+370-460 ms in all. Each command imports only the submodules it calls.
+Payloads go to stdout, diagnostics to stderr.
 
 Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
 conflicting flags), 3 for invalid parameter values or configurations.
@@ -27,6 +29,8 @@ import json
 import sys
 
 import numpy as np
+
+from .numerics import MAX_DIM
 
 USAGE_ERROR = 2
 INVALID_PARAMETER = 3
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="construct (and optionally verify) a full set of unbiased bases",
         epilog=_EPILOG,
     )
-    p_mub.add_argument("d", type=int, help="odd prime dimension")
+    p_mub.add_argument("d", type=int, help=f"odd prime dimension, at most {MAX_DIM}")
     p_mub.add_argument("--verify", action="store_true", help="run the exhaustive overlap scan")
     p_mub.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
 
@@ -397,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
     )
     mode = p_bound.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--d", type=int, help="unbiased-basis pair in prime dimension d")
+    mode.add_argument(
+        "--d", type=int, help=f"unbiased-basis pair in prime dimension d, at most {MAX_DIM}"
+    )
     mode.add_argument(
         "--pauli-pair", nargs=2, metavar=("AXIS1", "AXIS2"), help="two Pauli axes, e.g. x z"
     )
@@ -428,14 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="membrane cycle work report (or a seeded scan over random bases)",
         epilog=_EPILOG,
     )
-    p_cycle.add_argument("--d", type=int, required=True, help="prime dimension")
+    p_cycle.add_argument("--d", type=int, required=True, help=f"prime dimension, at most {MAX_DIM}")
     p_cycle.add_argument(
         "--basis",
         choices=["computational", "random"],
         help="membrane basis of a single cycle (default computational); a scan draws random bases",
     )
     p_cycle.add_argument("--seed", type=int, default=0, help="seed for random bases")
-    p_cycle.add_argument("--samples", type=int, default=1, help="number of random bases")
+    # cycle.MAX_SCAN_SAMPLES, written out: building the parser does not load cycle
+    p_cycle.add_argument(
+        "--samples", type=int, default=1, help="number of random bases, at most 1000000"
+    )
     p_cycle.add_argument("--layout", choices=["paper", "symmetric"], default="paper")
     p_cycle.add_argument("--priors", nargs="+", type=float, help="component priors (default uniform)")
     p_cycle.add_argument(

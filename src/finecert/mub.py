@@ -276,21 +276,26 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
     Pass iff the largest |G - I| entry over all bases and the largest
     | |<u|v>|^2 - 1/d | over all cross-basis pairs are both <= tol and no
     deviation is NaN (finite entries whose products overflow). A family
-    whose bases are not a (d+1, d, d) array of finite entries is rejected, and
-    so is a negative tolerance, which no family could meet.
+    whose bases are not a (d+1, d, d) array of finite entries, or whose d is
+    not an integer of at least 1, is rejected, and so is a negative
+    tolerance, which no family could meet.
 
     The bases are taken in blocks of at most ``_VERIFY_BLOCK_BYTES``: one
-    stacked product gives the Gram matrices of a block, and each earlier
-    basis meets the block's later bases in one more, which runs the same
-    d x d x d GEMM per pair as a product of two bases alone, so every
-    deviation has the bits of the pair-by-pair scan. Memory beyond the family
-    stays O(block). The reported worst entry is the first largest one, in
-    row-major order, of the last basis (or pair of bases, in (b, b') order)
-    whose largest deviation ties the overall maximum; a NaN deviation is
-    never it.
+    stacked product gives the Gram matrices of a block. Then each later
+    basis b' meets all earlier bases at once: their rows, stacked as one
+    tall (m d x d) matrix a block at a time, are multiplied by the adjoint of
+    b' into one reused buffer, and the deviations are formed in place in
+    another. Stacking rows leaves each entry's dot product as it is in a
+    product of two bases alone, so every deviation has the bits of the
+    pair-by-pair scan. Memory beyond the family stays O(block). The reported
+    worst entry is the first largest one, in row-major order, of the last
+    basis (or pair of bases, in (b, b') order) whose largest deviation ties
+    the overall maximum; a NaN deviation is never it.
     """
     _check_tol(tol)
-    d = family.d
+    d = check_index(family.d, "family dimension")
+    if d < 1:
+        raise ValueError(f"family dimension must be at least 1 (got {d})")
     shape = np.shape(family.bases)
     if shape != (d + 1, d, d):
         raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
@@ -315,12 +320,26 @@ def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
         gram_dev = np.abs(np.matmul(bases[start:stop], adjoint) - eye).reshape(stop - start, d * d)
         orth_arg[start:stop] = gram_dev.argmax(axis=1)
         orth_max[start:stop] = gram_dev.max(axis=1)
-        for b1 in range(stop - 1):
-            first = max(start, b1 + 1)
-            overlap = np.abs(np.matmul(bases[b1], adjoint[first - start :]))
-            pair_dev = np.abs(np.square(overlap) - 1.0 / d).reshape(stop - first, d * d)
-            unb_arg[b1, first:stop] = pair_dev.argmax(axis=1)
-            unb_max[b1, first:stop] = pair_dev.max(axis=1)
+
+    product = np.empty((block * d, d), dtype=work)
+    pair_dev = np.empty((block * d, d), dtype=unb_max.dtype)
+    firsts = np.arange(block) * (d * d)  # flat offset of each pair's deviations
+    for b2 in range(1, n_bases):
+        adjoint = bases[b2].conj().T
+        for start in range(0, b2, block):
+            stop = min(start + block, b2)
+            rows = (stop - start) * d
+            overlap, dev = product[:rows], pair_dev[:rows]
+            np.matmul(bases[start:stop].reshape(rows, d), adjoint, out=overlap)
+            np.abs(overlap, out=dev)
+            np.square(dev, out=dev)
+            np.subtract(dev, 1.0 / d, out=dev)
+            np.abs(dev, out=dev)
+            # argmax stops at a NaN, so the entry it picks is also the pair's max
+            worst = dev.reshape(stop - start, d * d).argmax(axis=1)
+            unb_arg[start:stop, b2] = worst
+            worst += firsts[: stop - start]
+            unb_max[start:stop, b2] = dev.reshape(-1)[worst]
 
     worst_orth = 0.0
     worst_orth_at = (labels[0], 0, 0)

@@ -438,6 +438,8 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
     [
         (lambda: measurement_ensemble([("a", 1.0, np.ones((2, 3)))]),
          r"projector for term 'a' is not square: \(2, 3\)"),
+        (lambda: measurement_ensemble([("a", 1.0, np.zeros((0, 0)))]),
+         r"projector for term 'a' is empty: \(0, 0\)"),
         (lambda: measurement_ensemble([("a", 1.0, [[1.0, 1.0], [0.0, 0.0]])]),
          "projector for term 'a' not Hermitian: deviation 1.000e\\+00"),
         (lambda: measurement_ensemble([]), "ensemble needs at least one term"),
@@ -449,7 +451,7 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
          "grid of 815730721 points is too large; reduce steps_per_angle"),
         (lambda: pauli_triple_ensemble((0, 0)), "need one outcome for each of the axes x, y, z"),
     ],
-    ids=["not-square", "not-hermitian", "no-terms", "angle-counts", "grid-dim-1", "grid-too-large",
+    ids=["not-square", "empty", "not-hermitian", "no-terms", "angle-counts", "grid-dim-1", "grid-too-large",
          "triple-outcomes"],
 )
 def test_malformed_ensembles_and_grids_are_rejected(call, message):

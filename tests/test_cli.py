@@ -1,9 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from finecert.cli import MAX_ALPHA_STEPS, main, render_json
+from finecert.cycle import MAX_SCAN_SAMPLES
+from finecert.numerics import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -303,3 +306,43 @@ def test_bound_pauli_pair_of_one_axis_in_two_cases_is_rejected(capsys):
     assert code == 3
     assert out == ""
     assert err == "finecert bound: the two Pauli measurements must differ\n"
+
+
+def help_text(capsys, *command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+
+
+@pytest.mark.parametrize(
+    "command, phrase",
+    [
+        (["mub"], f"odd prime dimension, at most {MAX_DIM}"),
+        (["bound"], f"unbiased-basis pair in prime dimension d, at most {MAX_DIM}"),
+        (["cycle"], f"prime dimension, at most {MAX_DIM}"),
+        (["cycle"], f"number of random bases, at most {MAX_SCAN_SAMPLES}"),
+    ],
+    ids=["mub-d", "bound-d", "cycle-d", "cycle-samples"],
+)
+def test_help_names_each_cap(capsys, command, phrase):
+    assert phrase in help_text(capsys, *command)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mub", str(MAX_DIM + 1), "--verify"],
+        ["bound", "--d", str(MAX_DIM + 1)],
+        ["cycle", "--d", str(MAX_DIM + 1), "--samples", "4"],
+        ["cycle", "--d", "3", "--samples", str(MAX_SCAN_SAMPLES + 1)],
+    ],
+    ids=["mub-d", "bound-d", "cycle-d", "cycle-samples"],
+)
+def test_one_past_each_cap_exits_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"finecert {argv[0]}: ") and err.count("\n") == 1

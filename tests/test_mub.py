@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,19 @@ def test_verify_mub_rejects_wrong_shape(shape):
     bases = np.zeros(shape, dtype=complex)
     with pytest.raises(ValueError, match="shape"):
         verify_mub(MubFamily(d=5, bases=bases))
+
+
+def test_verify_mub_rejects_an_empty_dimension():
+    # the shape matches (d + 1, d, d), but there is no entry to take a maximum of
+    with pytest.raises(ValueError, match=r"^family dimension must be at least 1 \(got 0\)$"):
+        verify_mub(MubFamily(0, np.zeros((1, 0, 0))))
+
+
+@pytest.mark.parametrize("d", [3.0, np.float64(3.0), "3"])
+def test_verify_mub_rejects_a_dimension_that_is_not_an_integer(d):
+    # a float d matches the shape (4, 3, 3), but is no dimension
+    with pytest.raises(ValueError, match=f"^family dimension {re.escape(repr(d))} is not an integer$"):
+        verify_mub(MubFamily(d, mub_family(3).bases))
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300])

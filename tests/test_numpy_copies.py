@@ -1,6 +1,6 @@
 """The package's copies of numpy internals, each checked against numpy itself.
 
-Five functions reproduce numpy's own arithmetic so that their results keep
+Six functions reproduce numpy's own arithmetic so that their results keep
 numpy's bits:
 
 - ``bounds._row_sums`` sums a grid block's columns in the order numpy 2.4
@@ -14,7 +14,11 @@ numpy's bits:
 - ``cycle._outcome_probabilities`` runs one (n d x d) (d x d) GEMM per
   component over a whole stack of bases, which keeps the bits of one d x d
   product per basis only while BLAS computes each element of a tall product
-  as it does in a square one.
+  as it does in a square one;
+- ``mub.verify_mub`` runs one (m d x d) (d x d) GEMM per later basis over
+  the rows of the earlier bases, a block at a time, into a reused buffer,
+  which keeps the bits of one d x d product per pair of bases under the same
+  condition.
 
 CI runs this module first and stops at the first failure, so a numpy or BLAS
 change that moves one of them fails here with a message naming the copy and
@@ -31,7 +35,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finecert import cycle
+from finecert import cycle, mub
 from test_probability_blocks import components, haar_stack, reference_probabilities
 
 BINS = 20
@@ -44,6 +48,7 @@ GRID_GEMM = f"bounds.zeta_gridsearch's column-major block no longer has the row-
 CHILD_STATES = f"cycle._child_states no longer follows numpy {np.__version__}"
 HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
 PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
+OVERLAPS = f"mub.verify_mub's tall overlap product no longer matches a product per pair on numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------- bounds._row_sums
@@ -245,3 +250,31 @@ def test_stacked_probabilities_keep_the_bytes_of_one_product_per_component(d, ki
         bases = haar_stack(d, n, 2)
         got = cycle._outcome_probabilities(bases, comps)
         assert got.tobytes() == reference_probabilities(bases, comps).tobytes(), PROBABILITIES
+
+
+# ---------------------------------------------------------------- mub.verify_mub
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+@pytest.mark.parametrize("d", [3, 31, 61])
+def test_tall_overlap_products_keep_the_bytes_of_one_product_per_pair(d, dtype):
+    """Each row block of ``verify_mub``'s product of the earlier bases' rows
+    with the adjoint of basis b2, written into a reused buffer, has the bytes
+    of each pair's own ``bases[b1] @ bases[b2].conj().T``, for chunks of one
+    basis and of a full verification block."""
+    if np.dtype(dtype).kind == "c":
+        bases = mub.mub_family(d).bases.astype(dtype)
+    else:
+        bases = np.random.default_rng(d).standard_normal((d + 1, d, d))
+    per_block = max(1, mub._VERIFY_BLOCK_BYTES // (d * d * bases.itemsize))
+    product = np.empty((per_block * d, d), dtype=dtype)
+    for b2 in range(1, d + 1):
+        adjoint = bases[b2].conj().T
+        for chunk in (1, per_block):
+            for lo in range(0, b2, chunk):
+                hi = min(lo + chunk, b2)
+                tall = product[: (hi - lo) * d]
+                np.matmul(bases[lo:hi].reshape(-1, d), adjoint, out=tall)
+                for b1 in range(lo, hi):
+                    pair = bases[b1] @ bases[b2].conj().T
+                    assert tall[(b1 - lo) * d : (b1 - lo + 1) * d].tobytes() == pair.tobytes(), OVERLAPS
