@@ -26,6 +26,7 @@ from . import mub as _mub
 from . import qubit as _qubit
 from .numerics import (
     DEGENERACY_TOL,
+    MAX_DIM,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
     check_index,
@@ -59,8 +60,9 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
     """Validate and freeze (label, weight, projector) triples into an ensemble.
 
     Weights must be >= 0 and sum to 1 within ``PROBABILITY_SUM_TOL``; every
-    projector must be Hermitian and idempotent within ``ROUNDOFF_TOL``
-    (rank above 1 is allowed, which coarse-grains several outcomes into one).
+    projector must be at most ``MAX_DIM``-dimensional, checked before any
+    product, and Hermitian and idempotent within ``ROUNDOFF_TOL`` (rank
+    above 1 is allowed, which coarse-grains several outcomes into one).
     """
     packed = []
     dim = None
@@ -75,6 +77,11 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
             raise ValueError(f"projector for term {label!r} is not square: {p.shape}")
         if p.shape[0] == 0:
             raise ValueError(f"projector for term {label!r} is empty: {p.shape}")
+        if p.shape[0] > MAX_DIM:
+            raise ValueError(
+                f"projector for term {label!r} has dimension {p.shape[0]},"
+                f" which exceeds the supported maximum {MAX_DIM}"
+            )
         if not np.all(np.isfinite(p)):
             raise ValueError(f"projector for term {label!r} contains NaN or Inf entries")
         if dim is None:

@@ -9,14 +9,9 @@ formatted once, and one piece of text per element with its brackets and
 separator folded in. The whole output is one list of pieces, joined once, and
 written to stdout a slice at a time.
 
-A MUB family holds about d + 2 distinct amplitudes. `mub 61 --verify` prints
-10 MB; in a fresh process with no `__pycache__` and PYTHONDONTWRITEBYTECODE=1
-(medians of two sets of 11 runs, one thread, a 2-vCPU x86-64 VM under
-varying load) its stages take about 110-130 ms import after interpreter
-start, 5 ms family, 120-133 ms verification (152-154 ms in the same runs with
-one GEMM per pair of bases), 40 ms rendering and 10 ms writing to a pipe,
-370-460 ms in all. Each command imports only the submodules it calls.
-Payloads go to stdout, diagnostics to stderr.
+A MUB family holds about d + 2 distinct amplitudes; `mub 61 --verify` prints
+10 MB (README times its stages). Each command imports only the submodules it
+calls. Payloads go to stdout, diagnostics to stderr.
 
 Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
 conflicting flags), 3 for invalid parameter values or configurations.
@@ -30,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .numerics import MAX_DIM
+from .numerics import MAX_DIM, MAX_SCAN_SAMPLES, ROUNDOFF_TOL
 
 USAGE_ERROR = 2
 INVALID_PARAMETER = 3
@@ -47,8 +42,8 @@ _WRITE_SLICE = 1 << 16
 MAX_ALPHA_STEPS = 10**5
 
 _EPILOG = (
-    "exit status: 0 = payload produced, 2 = usage error, "
-    "3 = invalid parameter or configuration"
+    f"exit status: 0 = payload produced, {USAGE_ERROR} = usage error, "
+    f"{INVALID_PARAMETER} = invalid parameter or configuration"
 )
 
 
@@ -272,7 +267,7 @@ def _cmd_bound(args) -> dict:
         payload = {
             "zeta": zeta,
             "weighted_zeta": zeta / 2.0,
-            "degenerate": bool(args.gamma >= np.pi - 1e-12),
+            "degenerate": _qubit._degenerate_pair(2.0 * np.cos(args.gamma / 2.0)),
         }
         return _result("bound", {"mode": "gamma", "gamma": args.gamma}, payload, "closed-form")
 
@@ -393,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mub.add_argument("d", type=int, help=f"odd prime dimension, at most {MAX_DIM}")
     p_mub.add_argument("--verify", action="store_true", help="run the exhaustive overlap scan")
-    p_mub.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
+    p_mub.add_argument("--tol", type=float, default=ROUNDOFF_TOL, help="verification tolerance")
 
     p_bound = sub.add_parser(
         "bound",
@@ -441,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="membrane basis of a single cycle (default computational); a scan draws random bases",
     )
     p_cycle.add_argument("--seed", type=int, default=0, help="seed for random bases")
-    # cycle.MAX_SCAN_SAMPLES, written out: building the parser does not load cycle
     p_cycle.add_argument(
-        "--samples", type=int, default=1, help="number of random bases, at most 1000000"
+        "--samples", type=int, default=1, help=f"number of random bases, at most {MAX_SCAN_SAMPLES}"
     )
     p_cycle.add_argument("--layout", choices=["paper", "symmetric"], default="paper")
     p_cycle.add_argument("--priors", nargs="+", type=float, help="component priors (default uniform)")

@@ -54,6 +54,7 @@ from . import mub as _mub
 from .bounds import mub_pair_bound
 from .numerics import (
     MAX_DIM,
+    MAX_SCAN_SAMPLES,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
     binary_entropy,
@@ -748,11 +749,6 @@ def _child_seed_type() -> type:
 #: chunks of this many bytes of d x d complex bases, so its working memory
 #: does not grow with the number of samples.
 SCAN_CHUNK_BYTES = 1 << 20
-
-
-#: Most samples one scan draws. It bounds a scan's result arrays and keeps
-#: every substream's spawn key to one uint32 word.
-MAX_SCAN_SAMPLES = 10**6
 
 
 def _chunk_samples(d: int) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit as _qubit
-from .numerics import MAX_DIM, check_index
+from .numerics import MAX_DIM, ROUNDOFF_TOL, check_index
 
 #: Label of the computational (Z eigenbasis) member of a family.
 Z_LABEL = "z"
@@ -270,7 +270,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be non-negative (got {tol})")
 
 
-def verify_mub(family: MubFamily, tol: float = 1e-10) -> MubVerification:
+def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     """Check every within-basis Gram entry and every cross-basis overlap.
 
     Pass iff the largest |G - I| entry over all bases and the largest

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: The one dimension cap: of eigensolver matrices, and of d (``mub._check_dim``).
+#: The one dimension cap: of matrices, ensemble projectors and d (``mub._check_dim``).
 MAX_DIM = 64
 
-#: The one roundoff allowance for a caller's structured input. It governs five
+#: Most samples one scan draws (``cycle.scan_bases``): it bounds the result
+#: arrays and keeps every substream's spawn key to one uint32 word.
+MAX_SCAN_SAMPLES = 10**6
+
+#: The one roundoff allowance for a caller's structured input. It governs six
 #: checks: a Hermitian operator, a normalized state, an ensemble projector's
-#: Hermiticity and idempotency (``bounds``), a unit direction (``qubit``) and
-#: an orthonormal membrane basis (``cycle``).
+#: Hermiticity and idempotency (``bounds``), a unit direction (``qubit``), an
+#: orthonormal membrane basis (``cycle``) and, by default, ``mub.verify_mub``.
 ROUNDOFF_TOL = 1e-10
 
 #: A density matrix's Hermiticity and unit-trace tolerance (``_density_spectrum``).

@@ -117,12 +117,20 @@ def pair_bound(gamma: float) -> float:
     for directions separated by angle gamma: 1 + cos(gamma/2).
 
     Defined continuously on [0, pi]; at gamma = pi the maximizer is
-    non-unique (the top eigenvalue degenerates to 1 on a full circle).
+    non-unique (the top eigenvalue degenerates to 1 on a full circle). It is
+    reported degenerate once |m + n| = 2 cos(gamma/2) falls below
+    ``DEGENERACY_TOL``, i.e. for gamma within about 1e-9 of pi.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma <= np.pi:
         raise ValueError(f"gamma={gamma} outside [0, pi]")
     return 1.0 + float(np.cos(gamma / 2.0))
+
+
+def _degenerate_pair(length: float) -> bool:
+    """Whether directions m, n with |m + n| = ``length`` = 2 cos(gamma/2) have
+    no unique maximizer: they are antipodal within ``DEGENERACY_TOL``."""
+    return bool(length < DEGENERACY_TOL)
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def pair_certainty(m, n) -> PairCertainty:
     length = float(np.linalg.norm(bisector))
     # |m+n| = 2 cos(gamma/2); recover gamma stably from the half-angle.
     gamma = 2.0 * float(np.arccos(np.clip(length / 2.0, 0.0, 1.0)))
-    degenerate = length < DEGENERACY_TOL
+    degenerate = _degenerate_pair(length)
     return PairCertainty(
         zeta=1.0 + length / 2.0,
         gamma=gamma,
@@ -162,7 +170,11 @@ class AverageCertainty(NamedTuple):
     quadrature: float
 
 
-def average_certainty(alpha: float, panels: int = 2048) -> AverageCertainty:
+#: Simpson panels of the semi-plane quadrature unless a caller passes another count.
+_PANELS = 2048
+
+
+def average_certainty(alpha: float, panels: int = _PANELS) -> AverageCertainty:
     """Average over the x-z semi-plane of the two-measurement certainty sum.
 
     One measurement is fixed along z, the other at angle alpha from it; the
@@ -174,7 +186,7 @@ def average_certainty(alpha: float, panels: int = 2048) -> AverageCertainty:
     return next(_average_certainties([alpha], panels))
 
 
-def _average_certainties(alphas, panels: int = 2048):
+def _average_certainties(alphas, panels: int = _PANELS):
     """``average_certainty`` of each angle in turn, with the theta grid, the
     fixed measurement's cos^2(theta/2) and the Simpson weights built once."""
     panels = check_index(panels, "panels")

@@ -450,13 +450,28 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
         (lambda: zeta_gridsearch(measurement_ensemble([("a", 1.0, projector(np.eye(5)[0]))]), 13),
          "grid of 815730721 points is too large; reduce steps_per_angle"),
         (lambda: pauli_triple_ensemble((0, 0)), "need one outcome for each of the axes x, y, z"),
+        (lambda: measurement_ensemble([("a", 1.0, projector(np.eye(400)[0]))]),
+         "projector for term 'a' has dimension 400, which exceeds the supported maximum 64"),
     ],
     ids=["not-square", "empty", "not-hermitian", "no-terms", "angle-counts", "grid-dim-1", "grid-too-large",
-         "triple-outcomes"],
+         "triple-outcomes", "above-max-dim"],
 )
 def test_malformed_ensembles_and_grids_are_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_oversized_projector_is_rejected_before_any_product():
+    # a Hermiticity or idempotency check would allocate at least one n x n temporary
+    p = projector(np.eye(400)[0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="has dimension 400"):
+            measurement_ensemble([("a", 1.0, p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.nbytes
 
 
 @pytest.mark.parametrize(

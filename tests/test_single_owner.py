@@ -6,18 +6,23 @@ that a non-integer d is rejected at every entry point rather than truncated,
 that a configuration's checked plan is built once and never carried stale
 into a copy, that layout members must be integers, and that component i of
 the cycle is the certainty operator of the pair ensemble (z:i, 0:i) byte for
-byte, d = 2 included.
+byte, d = 2 included. They also pin that ``bound --gamma`` decides degeneracy
+with ``qubit``'s predicate and that ``mub --tol`` and ``verify_mub`` default to
+``numerics.ROUNDOFF_TOL``.
 """
 
 import dataclasses
+import inspect
+import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from finecert import cycle
+from finecert import cycle, qubit
 from finecert.bounds import certainty_operator, mub_pair_bound, mub_pair_ensemble, pauli_pair_ensemble
-from finecert.cli import main
+from finecert.cli import build_parser, main
 from finecert.cycle import (
     CycleConfig,
     MembraneLayout,
@@ -31,7 +36,8 @@ from finecert.cycle import (
     singleton_arguments,
     work_extraction_w1,
 )
-from finecert.mub import mub_family
+from finecert.mub import mub_family, verify_mub
+from finecert.numerics import ROUNDOFF_TOL
 
 OVERSIZED = "d=1009 exceeds the supported maximum 64"
 
@@ -208,3 +214,32 @@ def test_component_is_the_pair_certainty_operator(d):
         assert rho.tobytes() == op.tobytes()
         if d == 2:
             assert rho.tobytes() == certainty_operator(pauli_pair_ensemble("z", "x", (i, i))).tobytes()
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [np.pi / 2, np.pi - 2e-9, np.pi - 1e-10, np.pi - 1e-13, np.pi],
+    ids=["pi/2", "pi-2e-9", "pi-1e-10", "pi-1e-13", "pi"],
+)
+def test_bound_gamma_decides_degeneracy_as_pair_certainty(capsys, gamma):
+    assert main(["bound", "--gamma", repr(gamma)]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    m = np.array([0.0, 0.0, 1.0])
+    n = np.array([np.sin(gamma), 0.0, np.cos(gamma)])
+    assert payload["degenerate"] is qubit.pair_certainty(m, n).degenerate
+    zeta = qubit.pair_bound(gamma)
+    assert payload["zeta"] == zeta
+    assert payload["weighted_zeta"] == zeta / 2.0
+
+
+def test_pair_certainty_and_bound_gamma_share_one_predicate(capsys):
+    with mock.patch.object(qubit, "_degenerate_pair", wraps=qubit._degenerate_pair) as spy:
+        qubit.pair_certainty([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        assert main(["bound", "--gamma", "1"]) == 0
+    capsys.readouterr()
+    assert spy.call_count == 2
+
+
+def test_verification_tolerance_has_one_default():
+    parsed = build_parser().parse_args(["mub", "3"]).tol
+    assert inspect.signature(verify_mub).parameters["tol"].default == parsed == ROUNDOFF_TOL
