@@ -61,7 +61,7 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
 
     Weights must be >= 0 and sum to 1 within ``PROBABILITY_SUM_TOL``; every
     projector must be at most ``MAX_DIM``-dimensional, checked before any
-    product, and Hermitian and idempotent within ``ROUNDOFF_TOL`` (rank
+    copy or product, and Hermitian and idempotent within ``ROUNDOFF_TOL`` (rank
     above 1 is allowed, which coarse-grains several outcomes into one).
     """
     packed = []
@@ -72,16 +72,17 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
             raise ValueError(f"non-finite weight {weight} for term {label!r}")
         if weight < 0.0:
             raise ValueError(f"negative weight {weight} for term {label!r}")
-        p = np.asarray(proj, dtype=complex)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"projector for term {label!r} is not square: {p.shape}")
-        if p.shape[0] == 0:
-            raise ValueError(f"projector for term {label!r} is empty: {p.shape}")
-        if p.shape[0] > MAX_DIM:
+        shape = np.shape(proj)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"projector for term {label!r} is not square: {shape}")
+        if shape[0] == 0:
+            raise ValueError(f"projector for term {label!r} is empty: {shape}")
+        if shape[0] > MAX_DIM:
             raise ValueError(
-                f"projector for term {label!r} has dimension {p.shape[0]},"
+                f"projector for term {label!r} has dimension {shape[0]},"
                 f" which exceeds the supported maximum {MAX_DIM}"
             )
+        p = np.asarray(proj, dtype=complex)
         if not np.all(np.isfinite(p)):
             raise ValueError(f"projector for term {label!r} contains NaN or Inf entries")
         if dim is None:
@@ -313,9 +314,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
         )
     if d < 2:
         raise ValueError("grid search needs dimension >= 2")
-    steps = check_index(steps_per_angle, "steps_per_angle")
-    if steps < 8:
-        raise ValueError(f"steps_per_angle must be >= 8 (got {steps})")
+    steps = check_index(steps_per_angle, "steps_per_angle", low=8)
     total = steps ** (2 * (d - 1))
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; reduce steps_per_angle")

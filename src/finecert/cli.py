@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .numerics import MAX_DIM, MAX_SCAN_SAMPLES, ROUNDOFF_TOL
+from .numerics import MAX_DIM, MAX_SCAN_SAMPLES, ROUNDOFF_TOL, check_index
 
 USAGE_ERROR = 2
 INVALID_PARAMETER = 3
@@ -303,8 +303,7 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_scan_alpha(args):
-    if args.steps < 2:
-        raise ValueError(f"--steps must be >= 2 (got {args.steps})")
+    check_index(args.steps, "--steps", low=2)
     if args.steps > MAX_ALPHA_STEPS:
         raise ValueError(f"--steps must be <= {MAX_ALPHA_STEPS} (got {args.steps})")
     from . import qubit as _qubit
@@ -327,8 +326,7 @@ def _cmd_cycle(args) -> dict:
     from . import cycle as _cycle
     from . import mub as _mub
 
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1 (got {args.samples})")
+    check_index(args.samples, "--samples", low=1)
     priors = args.priors if args.priors else None
     parameters = {
         "d": args.d,

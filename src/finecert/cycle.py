@@ -111,25 +111,25 @@ class MembraneLayout:
     def paper_preset(cls, d: int) -> "MembraneLayout":
         """One singleton per outcome: component 0 for all but the last
         membrane, component d-1 for the last; remaining components merged."""
-        d = check_index(d, "d")
+        d = check_index(d, "d", 1, MAX_DIM)
         singles = tuple([0] * (d - 1) + [d - 1])
         return cls._from_singletons("paper", d, singles)
 
     @classmethod
     def symmetric_preset(cls, d: int) -> "MembraneLayout":
         """Singleton component j at membrane j, remaining components merged."""
-        d = check_index(d, "d")
+        d = check_index(d, "d", 1, MAX_DIM)
         return cls._from_singletons("symmetric", d, tuple(range(d)))
 
     @classmethod
     def finest(cls, d: int) -> "MembraneLayout":
-        d = check_index(d, "d")
+        d = check_index(d, "d", 1, MAX_DIM)
         per_outcome = tuple((i,) for i in range(d))
         return cls(name="finest", groups=tuple(per_outcome for _ in range(d)), singletons=None)
 
     @classmethod
     def merged(cls, d: int) -> "MembraneLayout":
-        d = check_index(d, "d")
+        d = check_index(d, "d", 1, MAX_DIM)
         everything = (tuple(range(d)),)
         return cls(name="merged", groups=tuple(everything for _ in range(d)), singletons=None)
 
@@ -140,7 +140,7 @@ class MembraneLayout:
 
 
 def check_layout(layout: MembraneLayout, d: int) -> MembraneLayout:
-    _layout_plan(layout, check_index(d, "d"))
+    _layout_plan(layout, d)
     return layout
 
 
@@ -190,9 +190,9 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     if basis is None:
         basis = np.eye(d, dtype=complex)
     else:
+        if np.shape(basis) != (d, d):  # before the complex copy is made
+            raise ValueError(f"membrane basis must be {d}x{d}, got {np.shape(basis)}")
         basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (d, d):
-            raise ValueError(f"membrane basis must be {d}x{d}, got {basis.shape}")
         if not np.all(np.isfinite(basis)):
             raise ValueError("membrane basis contains NaN or Inf entries")
         _check_orthonormal(basis)
@@ -229,7 +229,9 @@ class _LayoutPlan:
 
 
 def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
-    """Check a layout and turn it into index arrays, in one pass over its groups."""
+    """Check a layout and turn it into index arrays, in one pass over its groups;
+    d is checked first, so nothing of size d^2 is built for an oversized one."""
+    d = check_index(d, "d", 1, MAX_DIM)
     if len(layout.groups) != d:
         raise ValueError(f"layout covers {len(layout.groups)} outcomes, expected {d}")
     chambers = []
@@ -601,11 +603,7 @@ def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (rows) drawn uniformly: QR of a complex Gaussian
     matrix with the R-diagonal phases folded back in. d runs from 1 to
     ``MAX_DIM`` and is checked before anything is allocated."""
-    d = check_index(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be >= 1 (got {d})")
-    if d > MAX_DIM:
-        raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
+    d = check_index(d, "d", 1, MAX_DIM)
     return _check_orthonormal(_bases_from_normals(rng.standard_normal((1, 2, d, d)))[0])
 
 
@@ -813,10 +811,7 @@ def scan_bases(
         n_samples = operator.index(n_samples)
     except TypeError:
         raise ValueError(f"n_samples must be an integer (got {n_samples!r})") from None
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1 (got {n_samples})")
-    if n_samples > MAX_SCAN_SAMPLES:
-        raise ValueError(f"n_samples={n_samples} exceeds the supported maximum {MAX_SCAN_SAMPLES}")
+    n_samples = check_index(n_samples, "n_samples", 1, MAX_SCAN_SAMPLES)
     seed = _scan_seed(seed)
     d = _mub._check_dim(d, qubit=True)
     cycle = _standard_cycle(d)

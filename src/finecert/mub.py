@@ -86,9 +86,7 @@ def _check_dim(d: int, qubit: bool = False) -> int:
     d = check_index(d, "d")
     if not is_prime(d) or (d == 2 and not qubit):
         raise ValueError(("d must be prime (got {})" if qubit else _NOT_ODD_PRIME).format(d))
-    if d > MAX_DIM:
-        raise ValueError(f"d={d} exceeds the supported maximum {MAX_DIM}")
-    return d
+    return check_index(d, "d", cap=MAX_DIM)
 
 
 def computational_basis(d: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: The one dimension cap: of matrices, ensemble projectors and d (``mub._check_dim``).
+#: The one dimension cap: of matrices, ensemble projectors, layouts and d (``mub._check_dim``).
 MAX_DIM = 64
 
 #: Most samples one scan draws (``cycle.scan_bases``): it bounds the result
@@ -39,22 +39,32 @@ DEGENERACY_TOL = 1e-9
 PROBABILITY_SUM_TOL = 1e-9
 
 
-def check_index(value, name: str) -> int:
-    """``value`` as an int: an int or a numpy integer, never a float, which
-    ``int()`` would truncate. Anything else raises a ValueError naming it."""
+def check_index(value, name: str, low: int | None = None, cap: int | None = None) -> int:
+    """The package's one range rule for a count a caller sets: ``value`` as an
+    int (an int or a numpy integer, never a float, which ``int()`` would
+    truncate) in [``low``, ``cap``], either end optional. It does no other work,
+    so callers run it before they allocate anything sized by the count. Anything
+    else raises a ValueError naming it."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} {value!r} is not an integer") from None
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be >= {low} (got {n})")
+    if cap is not None and n > cap:
+        raise ValueError(f"{name}={n} exceeds the supported maximum {cap}")
+    return n
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a finite square complex matrix of dimension <= MAX_DIM."""
+    """Coerce ``m`` to a finite square complex matrix of dimension <= MAX_DIM;
+    the shape is checked before the complex copy is made."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 1 or shape[0] > MAX_DIM:
+        raise ValueError(f"matrix dimension {shape[0]} outside [1, {MAX_DIM}]")
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix dimension {a.shape[0]} outside [1, {MAX_DIM}]")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -136,9 +146,9 @@ def fix_global_phase(psi: np.ndarray) -> np.ndarray:
 
 def check_state_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate a normalized complex state vector: | ||v|| - 1 | <= ``ROUNDOFF_TOL``."""
+    if dim is not None and np.size(v) != dim:
+        raise ValueError(f"state has dimension {np.size(v)}, expected {dim}")
     a = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"state has dimension {a.shape[0]}, expected {dim}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("state contains NaN or Inf entries")
     norm = float(np.linalg.norm(a))

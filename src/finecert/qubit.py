@@ -172,6 +172,8 @@ class AverageCertainty(NamedTuple):
 
 #: Simpson panels of the semi-plane quadrature unless a caller passes another count.
 _PANELS = 2048
+#: Most panels a caller may ask for; at the cap one call peaks near 42 MB.
+MAX_PANELS = 2**20
 
 
 def average_certainty(alpha: float, panels: int = _PANELS) -> AverageCertainty:
@@ -189,9 +191,7 @@ def average_certainty(alpha: float, panels: int = _PANELS) -> AverageCertainty:
 def _average_certainties(alphas, panels: int = _PANELS):
     """``average_certainty`` of each angle in turn, with the theta grid, the
     fixed measurement's cos^2(theta/2) and the Simpson weights built once."""
-    panels = check_index(panels, "panels")
-    if panels < 1024:
-        raise ValueError(f"need at least 1024 panels (got {panels})")
+    panels = check_index(panels, "panels", 1024, MAX_PANELS)
     if panels % 2:
         panels += 1
     theta = np.linspace(0.0, np.pi, panels + 1)

@@ -452,9 +452,10 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
         (lambda: pauli_triple_ensemble((0, 0)), "need one outcome for each of the axes x, y, z"),
         (lambda: measurement_ensemble([("a", 1.0, projector(np.eye(400)[0]))]),
          "projector for term 'a' has dimension 400, which exceeds the supported maximum 64"),
+        (lambda: zeta_gridsearch(pauli_pair_ensemble("x", "z"), 7), r"steps_per_angle must be >= 8 \(got 7\)"),
     ],
     ids=["not-square", "empty", "not-hermitian", "no-terms", "angle-counts", "grid-dim-1", "grid-too-large",
-         "triple-outcomes", "above-max-dim"],
+         "triple-outcomes", "above-max-dim", "grid-steps-below-8"],
 )
 def test_malformed_ensembles_and_grids_are_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
