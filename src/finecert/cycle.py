@@ -37,8 +37,8 @@ A single cycle and a scan over random membrane bases run through the same
 batched kernel; a scan streams its samples through it in fixed-size chunks
 and reduces their per-sample results once. The standard cycle of each d
 (uniform priors, the standard components, W2, zeta, the paper layout and its
-plan) is one read-only record, built once; a layout or basis of the caller's
-own is checked once, where it enters.
+plan) is one read-only record, built once; a layout, basis or component
+states of the caller's own are checked once, where they enter.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ from .numerics import (
 UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
 WINDOW_SLACK = 1e-10
+#: Bins of a scan's net-work histogram.
+_HISTOGRAM_BINS = 20
 
 
 def component_state(d: int, i: int) -> np.ndarray:
@@ -266,11 +268,17 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
 
 
 def _component_stack(components, d: int) -> np.ndarray:
+    """d component states (an ndarray or any iterable) as one finite (d, d, d)
+    complex stack; each state's shape is read before anything is copied."""
+    components = components if isinstance(components, np.ndarray) else list(components)
     if len(components) != d:
         raise ValueError(f"need {d} component states, got {len(components)}")
+    for shape in map(np.shape, components):
+        if shape != (d, d):
+            raise ValueError(f"component states must be {d}x{d}, got shape {shape}")
     comps = np.asarray(components, dtype=complex)
-    if comps.shape != (d, d, d):
-        raise ValueError(f"component states must be {d}x{d}, got shape {comps.shape[1:]}")
+    if not np.isfinite(comps).all():
+        raise ValueError("component states contain NaN or Inf entries")
     return comps
 
 
@@ -492,6 +500,7 @@ def singleton_arguments(cfg: CycleConfig, components) -> np.ndarray:
     if cfg.layout.singletons is None:
         raise ValueError(f"layout {cfg.layout.name!r} designates no singleton components")
     plan, probs = _config_probabilities(cfg, components)
+    _chamber_weights(probs, cfg.priors, plan)  # the distribution check of its two siblings
     return _singleton_args(probs, plan)[0]
 
 
@@ -555,7 +564,7 @@ def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None
         # the bytes that _cycle would build, with this configuration's layout
         cycle = dataclasses.replace(standard, layout=cfg.layout, plan=cfg._plan)
     else:
-        components = standard.components if components is None else list(components)
+        components = standard.components if components is None else components
         cycle = _cycle(cfg.d, cfg.priors, components, cfg.layout, cfg._plan)
     if counterfactual_zeta is not None and not cycle.hb_applies:
         needs = "uniform priors and a layout with designated singletons"
@@ -764,8 +773,8 @@ def _scan_seed(seed) -> int:
     return value
 
 
-def _histogram(values: np.ndarray, bins: int = 20):
-    """``np.histogram(values, bins)``, with its constant-data range
+def _histogram(values: np.ndarray):
+    """``np.histogram(values, _HISTOGRAM_BINS)``, with its constant-data range
     (min - 1/2, max + 1/2) also used when the spread is too small for
     finite-width bins. The merged layout's net work is basis-independent, so
     its scan spread is roundoff; NaN and Inf take that branch too. Callers
@@ -779,11 +788,11 @@ def _histogram(values: np.ndarray, bins: int = 20):
     more than a bin off its index arithmetic; there the rule holds here.
     """
     lo, hi = float(values.min()), float(values.max())
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _HISTOGRAM_BINS + 1)
     if np.all(edges[:-1] < edges[1:]):
-        index = np.minimum(np.searchsorted(edges, values, side="right") - 1, bins - 1)
-        return np.bincount(index, minlength=bins), edges
-    return np.histogram(values, bins=bins, range=(lo - 0.5, hi + 0.5))
+        index = np.minimum(np.searchsorted(edges, values, side="right") - 1, _HISTOGRAM_BINS - 1)
+        return np.bincount(index, minlength=_HISTOGRAM_BINS), edges
+    return np.histogram(values, bins=_HISTOGRAM_BINS, range=(lo - 0.5, hi + 0.5))
 
 
 def scan_bases(

@@ -125,11 +125,11 @@ def _quadratic_rows(roots: np.ndarray, k: int, terms, out=None) -> np.ndarray:
 
 def _member_rows(d: int, i: int, j) -> np.ndarray:
     """Vector j (an int or a 1-d int array) of family member i: 0 for "z", 1 + k
-    for quadratic basis k, and 1 for sigma_x at d = 2; the caller checks d, i, j."""
+    for quadratic basis k, the Pauli z and x eigenbases at d = 2; the caller checks d, i, j."""
+    if d == 2:
+        return _qubit.pauli_eigenbasis("z" if i == 0 else "x")[j]
     if i == 0:
         return np.eye(d, dtype=complex)[j]
-    if d == 2:
-        return _qubit.pauli_eigenbasis("x")[j]
     return _quadratic_rows(_roots(d), i - 1, _phase_terms(d, j))
 
 

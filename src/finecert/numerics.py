@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: The one dimension cap: of matrices, ensemble projectors, layouts and d (``mub._check_dim``).
+#: The one dimension cap: of matrices, projectors, layouts and d (``mub._check_dim``).
 MAX_DIM = 64
 
 #: Most samples one scan draws (``cycle.scan_bases``): it bounds the result
@@ -65,7 +65,7 @@ def as_square_matrix(m) -> np.ndarray:
     if shape[0] < 1 or shape[0] > MAX_DIM:
         raise ValueError(f"matrix dimension {shape[0]} outside [1, {MAX_DIM}]")
     a = np.asarray(m, dtype=complex)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -149,7 +149,7 @@ def check_state_vector(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and np.size(v) != dim:
         raise ValueError(f"state has dimension {np.size(v)}, expected {dim}")
     a = np.asarray(v, dtype=complex).reshape(-1)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("state contains NaN or Inf entries")
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > ROUNDOFF_TOL:
@@ -158,7 +158,8 @@ def check_state_vector(v, dim: int | None = None) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
-    """Rank-1 projector |v><v| of a normalized state vector."""
+    """Rank-1 projector |v><v| of a normalized state vector of at most ``MAX_DIM`` entries."""
+    check_index(np.size(v), "state dimension", cap=MAX_DIM)
     a = check_state_vector(v)
     return np.outer(a, a.conj())
 

@@ -10,21 +10,22 @@ geometry. Every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import DEGENERACY_TOL, ROUNDOFF_TOL, check_index, check_state_vector, fix_global_phase
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-PAULI_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
+#: The Pauli axes, read-only: name -> (matrix, rows = its (+1, -1) eigenvectors, outcomes 0 and 1).
+_S = 1.0 / np.sqrt(2.0)
+_PAULI = MappingProxyType(dict(zip("xyz", np.array([
+    [[[0.0, 1.0], [1.0, 0.0]], [[_S, _S], [_S, -_S]]],
+    [[[0.0, -1.0j], [1.0j, 0.0]], [[_S, 1j * _S], [_S, -1j * _S]]],
+    [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+], dtype=complex))))
+for _entry in _PAULI.values():
+    _entry.setflags(write=False)
 
 
 def check_unit_vector(k) -> np.ndarray:
@@ -51,13 +52,8 @@ def state_to_bloch(psi) -> np.ndarray:
     """Pauli expectation values (<sx>, <sy>, <sz>) of a 2-dimensional state."""
     psi = check_state_vector(psi, dim=2)
     a, b = psi
-    return np.array(
-        [
-            2.0 * (a.conjugate() * b).real,
-            2.0 * (a.conjugate() * b).imag,
-            float(abs(a) ** 2 - abs(b) ** 2),
-        ]
-    )
+    cross = 2.0 * (a.conjugate() * b)
+    return np.array([cross.real, cross.imag, float(abs(a) ** 2 - abs(b) ** 2)])
 
 
 def angles_to_state(theta: float, phi: float) -> np.ndarray:
@@ -74,26 +70,20 @@ def angles_to_state(theta: float, phi: float) -> np.ndarray:
 def spin_projector(k) -> np.ndarray:
     """Projector onto the +1 eigenstate of sigma.k: (I + sigma.k)/2."""
     k = check_unit_vector(k)
-    return 0.5 * (np.eye(2, dtype=complex) + k[0] * SIGMA_X + k[1] * SIGMA_Y + k[2] * SIGMA_Z)
+    sx, sy, sz = (_PAULI[axis][0] for axis in "xyz")
+    return 0.5 * (np.eye(2, dtype=complex) + k[0] * sx + k[1] * sy + k[2] * sz)
 
 
 def _check_axis(axis) -> str:
     """A Pauli axis name, x, y or z in either case, folded to lower case."""
-    axis = axis.lower() if isinstance(axis, str) else axis
-    if not isinstance(axis, str) or axis not in PAULI_AXES:
+    if not isinstance(axis, str) or (axis := axis.lower()) not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z (got {axis!r})")
     return axis
 
 
 def pauli_eigenbasis(axis: str) -> np.ndarray:
-    """Rows (outcome 0, outcome 1) = (+1, -1) eigenvectors of the Pauli on ``axis``."""
-    axis = _check_axis(axis)
-    s = 1.0 / np.sqrt(2.0)
-    if axis == "x":
-        return np.array([[s, s], [s, -s]], dtype=complex)
-    if axis == "y":
-        return np.array([[s, 1j * s], [s, -1j * s]], dtype=complex)
-    return np.eye(2, dtype=complex)
+    """Rows (outcome 0, outcome 1) = (+1, -1) eigenvectors of the Pauli on ``axis``, copied."""
+    return _PAULI[_check_axis(axis)][1].copy()
 
 
 def pauli_outcome_projector(axis: str, outcome: int) -> np.ndarray:

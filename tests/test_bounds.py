@@ -450,7 +450,7 @@ def test_non_integer_outcomes_and_steps_are_rejected(call, message):
         (lambda: zeta_gridsearch(measurement_ensemble([("a", 1.0, projector(np.eye(5)[0]))]), 13),
          "grid of 815730721 points is too large; reduce steps_per_angle"),
         (lambda: pauli_triple_ensemble((0, 0)), "need one outcome for each of the axes x, y, z"),
-        (lambda: measurement_ensemble([("a", 1.0, projector(np.eye(400)[0]))]),
+        (lambda: measurement_ensemble([("a", 1.0, np.outer(np.eye(400)[0], np.eye(400)[0]).astype(complex))]),
          "projector for term 'a' has dimension 400, which exceeds the supported maximum 64"),
         (lambda: zeta_gridsearch(pauli_pair_ensemble("x", "z"), 7), r"steps_per_angle must be >= 8 \(got 7\)"),
     ],
@@ -464,7 +464,7 @@ def test_malformed_ensembles_and_grids_are_rejected(call, message):
 
 def test_oversized_projector_is_rejected_before_any_product():
     # a Hermiticity or idempotency check would allocate at least one n x n temporary
-    p = projector(np.eye(400)[0])
+    p = np.outer(np.eye(400)[0], np.eye(400)[0]).astype(complex)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="has dimension 400"):

@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from finecert import mub
 from finecert.numerics import hermitian_eig
 from finecert.qubit import (
     _average_certainties,
@@ -261,3 +266,81 @@ def test_shared_grid_checks_every_angle():
     assert next(results).closed_form == 1.0 + np.sin(0.5) / np.pi
     with pytest.raises(ValueError, match="alpha=4.0"):
         next(results)
+
+
+# The Pauli formulas as three constant matrices and a per-axis branch wrote
+# them before the axes moved into one table; the table must keep their bytes.
+LITERAL_SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def literal_eigenbasis(axis):
+    s = 1.0 / np.sqrt(2.0)
+    if axis == "x":
+        return np.array([[s, s], [s, -s]], dtype=complex)
+    if axis == "y":
+        return np.array([[s, 1j * s], [s, -1j * s]], dtype=complex)
+    return np.eye(2, dtype=complex)
+
+
+def literal_state_to_bloch(a, b):
+    return np.array([2.0 * (a.conjugate() * b).real, 2.0 * (a.conjugate() * b).imag,
+                     float(abs(a) ** 2 - abs(b) ** 2)])
+
+
+unit_directions = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: np.array(v) / np.linalg.norm(v))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=unit_directions)
+@example(k=np.array([0.0, 0.0, 1.0]))
+@example(k=np.array([-0.0, -1.0, -0.0]))
+@example(k=np.array([-1.0, 0.0, 0.0]))
+def test_spin_projector_keeps_the_literal_formula_bytes(k):
+    sx, sy, sz = LITERAL_SIGMA
+    expected = 0.5 * (np.eye(2, dtype=complex) + k[0] * sx + k[1] * sy + k[2] * sz)
+    got = spin_projector(k)
+    assert got.dtype == expected.dtype and got.shape == (2, 2)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=unit_directions)
+def test_state_to_bloch_keeps_the_literal_formula_bytes(k):
+    psi = bloch_to_state(k)
+    got = state_to_bloch(psi)
+    assert got.tobytes() == literal_state_to_bloch(*psi).tobytes()
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z", "X", "Y", "Z"])
+def test_pauli_eigenbasis_keeps_the_literal_bytes_in_a_fresh_copy(axis):
+    expected = literal_eigenbasis(axis.lower())
+    got = pauli_eigenbasis(axis)
+    assert got.dtype == expected.dtype and got.shape == (2, 2)
+    assert got.tobytes() == expected.tobytes()
+    for outcome in (0, 1):
+        v = expected[outcome]
+        assert pauli_outcome_projector(axis, outcome).tobytes() == np.outer(v, v.conj()).tobytes()
+    got[:] = 7.0  # a caller may write to what it was given
+    assert pauli_eigenbasis(axis).tobytes() == expected.tobytes()
+
+
+def test_qubit_pair_rows_come_from_the_pauli_table():
+    for i, axis in enumerate("zx"):
+        for j in (0, 1):
+            assert mub._member_rows(2, i, j).tobytes() == literal_eigenbasis(axis)[j].tobytes()
+        assert mub._member_rows(2, i, np.arange(2)).tobytes() == literal_eigenbasis(axis).tobytes()
+
+
+@pytest.mark.parametrize("axis", ["w", "W", "", "xy", 1, None])
+def test_unknown_pauli_axis_is_refused(axis):
+    shown = axis.lower() if isinstance(axis, str) else axis
+    with pytest.raises(ValueError, match=re.escape(f"axis must be one of x, y, z (got {shown!r})")):
+        pauli_eigenbasis(axis)

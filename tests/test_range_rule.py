@@ -4,10 +4,13 @@
 a count is an integer in [low, cap]. These tests pin its two messages with a
 hypothesis property, pin that the membrane layout presets, a layout's plan and
 the quadrature panel count go through it before any allocation sized by the
-count, and pin that the three array boundaries (``numerics.as_square_matrix``,
-``bounds.measurement_ensemble`` and the basis of ``cycle.cycle_config``) read a
-caller's shape before they make its complex copy, as a state vector's size is
-read before its copy when a dimension is expected.
+count, and pin that the array boundaries (``numerics.as_square_matrix``,
+``bounds.measurement_ensemble``, the basis of ``cycle.cycle_config`` and the
+component states of the five cycle entry points) read a caller's shape before
+they make its complex copy, as a state vector's size is read before its copy
+when a dimension is expected and ``numerics.projector`` counts its vector
+before the outer product. Component states holding NaN or Inf are refused
+where they enter.
 """
 
 import tracemalloc
@@ -17,15 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecert import qubit
+from finecert import cycle, qubit
 from finecert.bounds import measurement_ensemble
-from finecert.cycle import CycleConfig, MembraneLayout, check_layout, cycle_config
+from finecert.cycle import CycleConfig, MembraneLayout, check_layout, component_states, cycle_config
 from finecert.numerics import (
     MAX_DIM,
     check_density_matrix,
     check_hermitian,
     check_index,
     hermitian_eig,
+    projector,
     von_neumann_entropy,
 )
 
@@ -66,9 +70,14 @@ OVER_DIM = f"d={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
         (lambda: next(qubit._average_certainties([1.0], panels=qubit.MAX_PANELS + 1)),
          f"panels={2**20 + 1} exceeds the supported maximum {2**20}"),
         (lambda: qubit.average_certainty(1.0, panels=512), "panels must be >= 1024 (got 512)"),
+        (lambda: projector(np.ones(MAX_DIM + 1) / np.sqrt(MAX_DIM + 1)),
+         f"state dimension={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"),
+        (lambda: projector(np.ones(2000) / np.sqrt(2000)),
+         f"state dimension=2000 exceeds the supported maximum {MAX_DIM}"),
     ],
     ids=["paper_preset", "symmetric_preset", "finest", "merged", "preset-d-0", "check_layout",
-         "direct-config-plan", "average_certainty", "_average_certainties", "panels-below-1024"],
+         "direct-config-plan", "average_certainty", "_average_certainties", "panels-below-1024",
+         "projector-65", "projector-2000"],
 )
 def test_each_count_is_refused_at_its_cap_before_any_allocation(call, message):
     peak, got = peak_and_message(call)
@@ -109,6 +118,64 @@ def test_array_shape_is_checked_before_the_complex_copy(call, message):
     peak, got = peak_and_message(lambda: call(big))
     assert got == message
     assert peak < MEGABYTE
+
+
+def test_projector_at_the_dimension_cap_is_accepted():
+    v = np.ones(MAX_DIM) / np.sqrt(MAX_DIM)
+    p = projector(v)
+    assert p.shape == (MAX_DIM, MAX_DIM)
+    np.testing.assert_allclose(p, np.full((MAX_DIM, MAX_DIM), 1.0 / MAX_DIM), rtol=1e-14)
+
+
+#: The entry points that take a caller's component states, each as (config, states) -> result.
+COMPONENT_ENTRY_POINTS = {
+    "delta_w": cycle.delta_w,
+    "chamber_distribution": cycle.chamber_distribution,
+    "work_extraction_w1": cycle.work_extraction_w1,
+    "work_retrieval_w2": cycle.work_retrieval_w2,
+    "singleton_arguments": cycle.singleton_arguments,
+}
+
+
+@pytest.mark.parametrize("entry", COMPONENT_ENTRY_POINTS)
+@pytest.mark.parametrize("at", [(0, 0, 0), (1, 2, 2)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_component_states_are_refused_where_they_enter(entry, at, value, part):
+    states = [rho.copy() for rho in component_states(3)]
+    i, r, c = at
+    states[i][r, c] = complex(value, 0.0) if part == "real" else complex(states[i][r, c].real, value)
+    with pytest.raises(ValueError) as info:
+        COMPONENT_ENTRY_POINTS[entry](cycle_config(3), states)
+    assert str(info.value) == "component states contain NaN or Inf entries"
+
+
+@pytest.mark.parametrize("entry", COMPONENT_ENTRY_POINTS)
+@pytest.mark.parametrize("kind", ["list", "ndarray"])
+def test_component_state_shape_is_read_before_the_complex_copy(entry, kind):
+    cfg = cycle_config(3)
+    # one complex copy of the three would take 48 MB
+    states = [np.zeros((1000, 1000))] * 3 if kind == "list" else np.zeros((3, 1000, 1000))
+    peak, got = peak_and_message(lambda: COMPONENT_ENTRY_POINTS[entry](cfg, states))
+    assert got == "component states must be 3x3, got shape (1000, 1000)"
+    assert peak < MEGABYTE
+
+
+def test_component_states_may_be_any_iterable_and_a_complex_stack_is_not_copied():
+    stack = np.asarray(component_states(3))
+    assert cycle._component_stack(stack, 3) is stack
+    cfg = cycle_config(3)
+    expected = cycle.delta_w(cfg, component_states(3))
+    assert cycle.delta_w(cfg, iter(component_states(3))) == expected
+    assert cycle.delta_w(cfg, stack) == expected
+    assert cycle.work_retrieval_w2(cfg, (rho for rho in stack)) == expected.w2
+
+
+@pytest.mark.parametrize("entry", ["chamber_distribution", "work_extraction_w1", "singleton_arguments"])
+def test_states_that_are_not_density_matrices_are_refused_on_every_probability_path(entry):
+    with pytest.raises(ValueError) as info:
+        COMPONENT_ENTRY_POINTS[entry](cycle_config(3), [2.0 * np.eye(3)] * 3)
+    assert str(info.value) == "chamber weights sum to 3.000000000000, not 1"
 
 
 @settings(max_examples=200, deadline=None)
