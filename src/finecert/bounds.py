@@ -29,11 +29,13 @@ from .numerics import (
     MAX_DIM,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
+    _shape,
     check_index,
     check_state_vector,
     fix_global_phase,
     hermitian_eig,
     hermiticity_deviation,
+    projector,
 )
 
 #: Hard cap on grid-search size, about a minute of vectorized evaluation.
@@ -72,7 +74,7 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
             raise ValueError(f"non-finite weight {weight} for term {label!r}")
         if weight < 0.0:
             raise ValueError(f"negative weight {weight} for term {label!r}")
-        shape = np.shape(proj)
+        shape = _shape(proj)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"projector for term {label!r} is not square: {shape}")
         if shape[0] == 0:
@@ -157,9 +159,6 @@ class HypersphericalAngles:
 
     x: tuple
     phi: tuple
-
-    def state(self) -> np.ndarray:
-        return hyperspherical_state(self.x, self.phi)
 
 
 def hyperspherical_state(x, phi) -> np.ndarray:
@@ -372,7 +371,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     return GridSearchResult(
         zeta=best_value,
         angles=angles,
-        state=angles.state(),
+        state=hyperspherical_state(angles.x, angles.phi),
         steps_per_angle=steps,
         x_step=float(x_grid[1] - x_grid[0]),
         phi_step=float(phi_grid[1] - phi_grid[0]),
@@ -406,8 +405,8 @@ def pauli_triple_ensemble(outcomes=(0, 0, 0)) -> MeasurementEnsemble:
     )
 
 
-def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
-    """Outcome vectors (j1 of basis k1, j2 of basis k2) in prime dimension d.
+def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> MeasurementEnsemble:
+    """Equal-weight ensemble of outcome j1 of basis k1 and outcome j2 of basis k2.
 
     Labels: "z" for the computational basis, 0..d-1 for the quadratic-phase
     bases; :mod:`finecert.mub` owns their meaning, d = 2 included (where the
@@ -418,21 +417,9 @@ def _pair_vectors(d: int, k1, k2, j1: int, j2: int):
     if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
                          "either identical or orthogonal and carry no pair bound")
-    return (
-        _mub._member_rows(d, i1, _mub.outcome_index(d, j1)),
-        _mub._member_rows(d, i2, _mub.outcome_index(d, j2)),
-    )
-
-
-def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> MeasurementEnsemble:
-    """Equal-weight ensemble of one outcome from each of two unbiased bases."""
-    v1, v2 = _pair_vectors(d, k1, k2, j1, j2)
-    return measurement_ensemble(
-        [
-            (f"{k1}:{int(j1)}", 0.5, np.outer(v1, v1.conj())),
-            (f"{k2}:{int(j2)}", 0.5, np.outer(v2, v2.conj())),
-        ]
-    )
+    p1 = projector(_mub._member_rows(d, i1, _mub.outcome_index(d, j1)))
+    p2 = projector(_mub._member_rows(d, i2, _mub.outcome_index(d, j2)))
+    return measurement_ensemble([(f"{k1}:{int(j1)}", 0.5, p1), (f"{k2}:{int(j2)}", 0.5, p2)])
 
 
 def mub_pair_bound(d: int) -> float:

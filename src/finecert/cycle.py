@@ -1,9 +1,10 @@
 """Membrane work-extraction cycle tying the pair certainty bound to entropy accounting.
 
 The cycle mixes d component states rho_i = (|i><i| + |i,0><i,0|)/2, one per
-outcome of the computational basis paired with quadratic-phase basis 0 (the
-sigma_x eigenbasis for d=2). :mod:`finecert.mub` owns that pairing and the
-dimension check; this module asks it for the paired vectors. Mixing through
+outcome i: the certainty operator (:mod:`finecert.bounds`) of the equal-weight
+pair of outcome i of the computational basis and of quadratic-phase basis 0
+(the sigma_x eigenbasis for d=2). :mod:`finecert.mub` owns that pairing and
+the dimension check; this module asks it for the paired rows. Mixing through
 semi-transparent membranes, one per vector of an orthonormal membrane basis
 {e_j}, extracts
 
@@ -36,8 +37,8 @@ every s_j to show that a higher achievable bound would make delta_w positive.
 A single cycle and a scan over random membrane bases run through the same
 batched kernel; a scan streams its samples through it in fixed-size chunks
 and reduces their per-sample results once. The standard cycle of each d
-(uniform priors, the standard components, W2, zeta, the paper layout and its
-plan) is one read-only record, built once; a layout, basis or component
+(uniform priors, the standard component stack, W2, zeta, the paper layout and
+its plan) is one read-only record, built once; a layout, basis or component
 states of the caller's own are checked once, where they enter.
 """
 
@@ -51,14 +52,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mub as _mub
-from .bounds import mub_pair_bound
+from .bounds import EnsembleTerm, MeasurementEnsemble, certainty_operator, mub_pair_bound
 from .numerics import (
     MAX_DIM,
     MAX_SCAN_SAMPLES,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
+    _shape,
     binary_entropy,
     check_index,
+    projector,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -71,29 +74,36 @@ _HISTOGRAM_BINS = 20
 
 
 def component_state(d: int, i: int) -> np.ndarray:
-    """Equal mixture of outcome i's projectors from the two paired bases.
+    """Component i alone: the certainty operator of the equal-weight pair
+    (z:i, 0:i), the bytes of ``component_states(d)[i]``.
 
     Eigenvalues are ((1 +- 1/sqrt d)/2, 0, ..., 0), so every component has
-    entropy H_b(1/2 + 1/(2 sqrt d)). It is row i of ``component_states(d)``.
+    entropy H_b(1/2 + 1/(2 sqrt d)).
     """
     d = _mub._check_dim(d, qubit=True)
     i = check_index(i, "component index")
     if not 0 <= i < d:
         raise ValueError(f"component index {i} outside 0..{d - 1}")
-    return component_states(d)[i]
+    return _pair_operators(d, [i])[0]
 
 
 def component_states(d: int) -> list:
-    """All d component states (|i><i| + |v_i><v_i|)/2, the paired vectors v_i
-    taken from one basis."""
-    d = _mub._check_dim(d, qubit=True)
-    states = []
-    for i, v in enumerate(_mub._member_rows(d, 1, np.arange(d))):
-        rho = np.zeros((d, d), dtype=complex)
-        rho[i, i] = 0.5
-        rho += 0.5 * np.outer(v, v.conj())
-        states.append(rho)
-    return states
+    """All d component states: state i is the certainty operator of the
+    equal-weight pair (z:i, 0:i), (|i><i| + |v_i><v_i|)/2."""
+    return _pair_operators(_mub._check_dim(d, qubit=True), np.arange(d))
+
+
+def _pair_operators(d: int, outcomes) -> list:
+    """``certainty_operator`` of the pair (z:i, 0:i) for each outcome i, from the
+    ``projector`` of each row; the rows, taken once, are ``mub``'s own and so
+    skip the ensemble check."""
+    rows = zip(outcomes, _mub._member_rows(d, 0, outcomes), _mub._member_rows(d, 1, outcomes))
+    return [
+        certainty_operator(MeasurementEnsemble(d, (
+            EnsembleTerm(f"z:{i}", 0.5, projector(u)), EnsembleTerm(f"0:{i}", 0.5, projector(v))
+        )))
+        for i, u, v in rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -192,8 +202,8 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     if basis is None:
         basis = np.eye(d, dtype=complex)
     else:
-        if np.shape(basis) != (d, d):  # before the complex copy is made
-            raise ValueError(f"membrane basis must be {d}x{d}, got {np.shape(basis)}")
+        if (shape := _shape(basis)) != (d, d):  # before the complex copy is made
+            raise ValueError(f"membrane basis must be {d}x{d}, got {shape}")
         basis = np.asarray(basis, dtype=complex)
         if not np.all(np.isfinite(basis)):
             raise ValueError("membrane basis contains NaN or Inf entries")
@@ -270,10 +280,14 @@ def _layout_plan(layout: MembraneLayout, d: int) -> _LayoutPlan:
 def _component_stack(components, d: int) -> np.ndarray:
     """d component states (an ndarray or any iterable) as one finite (d, d, d)
     complex stack; each state's shape is read before anything is copied."""
-    components = components if isinstance(components, np.ndarray) else list(components)
+    try:
+        states = iter(components)
+    except TypeError:  # a scalar, None or a 0-d array
+        raise ValueError(f"need {d} component states, got {components!r}") from None
+    components = components if isinstance(components, np.ndarray) else list(states)
     if len(components) != d:
         raise ValueError(f"need {d} component states, got {len(components)}")
-    for shape in map(np.shape, components):
+    for shape in map(_shape, components):
         if shape != (d, d):
             raise ValueError(f"component states must be {d}x{d}, got shape {shape}")
     comps = np.asarray(components, dtype=complex)
@@ -393,9 +407,12 @@ def _cycle(
 ) -> _Cycle:
     """A cycle from checked priors and a checked layout plan: validates the
     components and computes W2 and H(priors), and zeta and H_b(zeta) when the
-    components are ``component_states(d)``, byte for byte."""
+    components are the standard stack, itself or byte for byte (state 0 first)."""
     comps = _component_stack(components, d)
-    standard = comps.tobytes() == np.asarray(component_states(d)).tobytes()
+    stack = _standard_stack(_mub._check_dim(d, qubit=True))
+    standard = comps is stack or (
+        comps[0].tobytes() == stack[0].tobytes() and comps.tobytes() == stack.tobytes()
+    )
     zeta = mub_pair_bound(d) if standard else None
     return _Cycle(
         priors=priors,
@@ -411,6 +428,16 @@ def _cycle(
 
 
 @functools.lru_cache(maxsize=None)
+def _standard_stack(d: int) -> np.ndarray:
+    """The read-only (d, d, d) stack of ``component_states(d)``, built once per
+    d: the standard record holds it, and ``_cycle`` recognises a caller's stack
+    by it without building that record. The caller checks d: the memo takes 3.0 for 3."""
+    stack = np.array(component_states(d))  # checked where the record is built
+    stack.setflags(write=False)
+    return stack
+
+
+@functools.lru_cache(maxsize=None)
 def _standard_cycle(d: int) -> _Cycle:
     """The standard cycle of d: uniform priors, the standard components and
     the paper preset.
@@ -423,10 +450,8 @@ def _standard_cycle(d: int) -> _Cycle:
     d = _mub._check_dim(d, qubit=True)
     layout = MembraneLayout.paper_preset(d)
     plan = _layout_plan(layout, d)
-    cycle = _cycle(d, np.full(d, 1.0 / d), component_states(d), layout, plan)
-    for array in (
-        cycle.priors, cycle.components, plan.members, plan.starts, plan.filled, plan.singletons
-    ):
+    cycle = _cycle(d, np.full(d, 1.0 / d), _standard_stack(d), layout, plan)
+    for array in (cycle.priors, plan.members, plan.starts, plan.filled, plan.singletons):
         array.setflags(write=False)
     return cycle
 
@@ -504,6 +529,20 @@ def singleton_arguments(cfg: CycleConfig, components) -> np.ndarray:
     return _singleton_args(probs, plan)[0]
 
 
+def _report_dict(report) -> dict:
+    """A report's fields in order, tuples as lists: ``layout_name`` is keyed
+    "layout", and ``histogram_counts``/``histogram_edges`` nest under "histogram"."""
+    out = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        value = list(value) if isinstance(value, tuple) else value
+        if field.name.startswith("histogram_"):
+            out.setdefault("histogram", {})[field.name.removeprefix("histogram_")] = value
+        else:
+            out["layout" if field.name == "layout_name" else field.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class WorkReport:
     """Work bookkeeping of one cycle, with the binary-entropy cross-check.
@@ -533,21 +572,7 @@ class WorkReport:
     counterfactual_delta_w: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "w1": self.w1,
-            "w2": self.w2,
-            "delta_w": self.delta_w,
-            "zeta": self.zeta,
-            "layout": self.layout_name,
-            "singleton_args": None if self.singleton_args is None else list(self.singleton_args),
-            "hb_form_delta_w": self.hb_form_delta_w,
-            "consistency_residual": self.consistency_residual,
-            "in_window": self.in_window,
-            "counterfactual": self.counterfactual,
-            "counterfactual_zeta": self.counterfactual_zeta,
-            "counterfactual_delta_w": self.counterfactual_delta_w,
-        }
+        return _report_dict(self)
 
 
 def delta_w(cfg: CycleConfig, components=None, counterfactual_zeta: float | None = None) -> WorkReport:
@@ -640,28 +665,7 @@ class ScanReport:
     per_sample_delta_w: tuple | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "layout": self.layout_name,
-            "zeta": self.zeta,
-            "delta_w_min": self.delta_w_min,
-            "delta_w_max": self.delta_w_max,
-            "delta_w_mean": self.delta_w_mean,
-            "histogram": {
-                "counts": list(self.histogram_counts),
-                "edges": list(self.histogram_edges),
-            },
-            "max_consistency_residual": self.max_consistency_residual,
-            "max_singleton_excess": self.max_singleton_excess,
-            "n_in_window": self.n_in_window,
-            "in_window_delta_w_max": self.in_window_delta_w_max,
-            "outside_window_indices": list(self.outside_window_indices),
-            "per_sample_delta_w": None
-            if self.per_sample_delta_w is None
-            else list(self.per_sample_delta_w),
-        }
+        return _report_dict(self)
 
 
 # ------------------------------------------------------------ per-sample substreams

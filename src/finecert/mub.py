@@ -196,9 +196,6 @@ class MubFamily:
     def basis_index(self, label) -> int:
         return basis_index(self.d, label)
 
-    def basis(self, label) -> np.ndarray:
-        return self.bases[self.basis_index(label)]
-
     def vector(self, label, j: int) -> np.ndarray:
         j = outcome_index(self.d, j)
         return self.bases[self.basis_index(label), j]

@@ -56,10 +56,20 @@ def check_index(value, name: str, low: int | None = None, cap: int | None = None
     return n
 
 
+def _shape(m) -> tuple:
+    """``np.shape(m)``, with a list's or tuple's entries converted one at a time,
+    never the whole; ragged input goes to ``np.shape`` for numpy's own error."""
+    try:
+        inner = {np.shape(entry) for entry in m} if isinstance(m, (list, tuple)) else ()
+    except ValueError:
+        inner = ()
+    return (len(m), *inner.pop()) if len(inner) == 1 else np.shape(m)
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a finite square complex matrix of dimension <= MAX_DIM;
     the shape is checked before the complex copy is made."""
-    shape = np.shape(m)
+    shape = _shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
     if shape[0] < 1 or shape[0] > MAX_DIM:
@@ -104,9 +114,6 @@ class SpectralDecomposition:
     @property
     def largest_vector(self) -> np.ndarray:
         return self.vectors[:, -1]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
 
 
 def hermitian_eig(m) -> SpectralDecomposition:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEGENERACY_TOL, ROUNDOFF_TOL, check_index, check_state_vector, fix_global_phase
+from .numerics import (DEGENERACY_TOL, ROUNDOFF_TOL, check_index, check_state_vector,
+                       fix_global_phase, projector)
 
 #: The Pauli axes, read-only: name -> (matrix, rows = its (+1, -1) eigenvectors, outcomes 0 and 1).
 _S = 1.0 / np.sqrt(2.0)
@@ -91,8 +92,7 @@ def pauli_outcome_projector(axis: str, outcome: int) -> np.ndarray:
     outcome = check_index(outcome, "outcome")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1 (got {outcome})")
-    v = pauli_eigenbasis(axis)[outcome]
-    return np.outer(v, v.conj())
+    return projector(pauli_eigenbasis(axis)[outcome])
 
 
 def spin_up_probability(m, k) -> float:

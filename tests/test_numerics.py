@@ -96,7 +96,8 @@ def test_eigenpair_residuals_and_trace():
         assert abs(float(np.trace(m).real) - float(decomp.values.sum())) <= 1e-9
         gram = decomp.vectors.conj().T @ decomp.vectors
         assert float(np.max(np.abs(gram - np.eye(d)))) <= 1e-10
-        assert float(np.max(np.abs(decomp.reconstruct() - m))) <= 1e-10
+        reconstructed = (decomp.vectors * decomp.values) @ decomp.vectors.conj().T
+        assert float(np.max(np.abs(reconstructed - m))) <= 1e-10
 
 
 def test_shannon_entropy_examples():

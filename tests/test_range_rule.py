@@ -9,8 +9,10 @@ count, and pin that the array boundaries (``numerics.as_square_matrix``,
 component states of the five cycle entry points) read a caller's shape before
 they make its complex copy, as a state vector's size is read before its copy
 when a dimension is expected and ``numerics.projector`` counts its vector
-before the outer product. Component states holding NaN or Inf are refused
-where they enter.
+before the outer product. A nested list's shape is read an entry at a time,
+as ``np.shape`` reports it, so a list of lists is never converted whole.
+Component states holding NaN or Inf, or given as a scalar, None or a 0-d
+array, are refused where they enter.
 """
 
 import tracemalloc
@@ -20,11 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecert import cycle, qubit
+from finecert import cycle, numerics, qubit
 from finecert.bounds import measurement_ensemble
 from finecert.cycle import CycleConfig, MembraneLayout, check_layout, component_states, cycle_config
 from finecert.numerics import (
     MAX_DIM,
+    as_square_matrix,
     check_density_matrix,
     check_hermitian,
     check_index,
@@ -159,6 +162,84 @@ def test_component_state_shape_is_read_before_the_complex_copy(entry, kind):
     peak, got = peak_and_message(lambda: COMPONENT_ENTRY_POINTS[entry](cfg, states))
     assert got == "component states must be 3x3, got shape (1000, 1000)"
     assert peak < MEGABYTE
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (as_square_matrix, OVER_MATRIX),
+        (lambda a: measurement_ensemble([("a", 1.0, a)]),
+         f"projector for term 'a' has dimension 1000, which exceeds the supported maximum {MAX_DIM}"),
+        (lambda a: cycle_config(3, basis=a), "membrane basis must be 3x3, got (1000, 1000)"),
+    ],
+    ids=["as_square_matrix", "measurement_ensemble", "cycle_config-basis"],
+)
+def test_nested_list_shape_is_read_without_converting_it(call, message):
+    nested = [[0.0] * 1000 for _ in range(1000)]  # converted whole it would take 8 MB
+    peak, got = peak_and_message(lambda: call(nested))
+    assert got == message
+    assert peak < MEGABYTE
+
+
+@pytest.mark.parametrize("entry", COMPONENT_ENTRY_POINTS)
+def test_nested_list_component_states_are_not_converted(entry):
+    cfg = cycle_config(3)
+    nested = [[0.0] * 1000 for _ in range(1000)]
+    peak, got = peak_and_message(lambda: COMPONENT_ENTRY_POINTS[entry](cfg, [nested] * 3))
+    assert got == "component states must be 3x3, got shape (1000, 1000)"
+    assert peak < MEGABYTE
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1, 2], [3, 4]],
+        ((1.0, 2.0), [3.0, 4.0]),
+        [np.zeros(2), [1, 2]],
+        [np.zeros((2, 2)), np.ones((2, 2))],
+        ["ab", "cd"],
+        [],
+        [[]],
+        5.0,
+        [[1, 2], [3]],
+        [[1, 2], "ab"],
+        [[[1], [2, 3]], [[1], [2, 3]]],
+    ],
+    ids=["lists", "tuple-of-rows", "mixed-rows", "list-of-arrays", "strings", "empty", "empty-row",
+         "scalar", "ragged", "row-and-scalar", "ragged-inside"],
+)
+def test_shape_reader_agrees_with_numpy(value):
+    try:
+        expected = np.shape(value)
+    except ValueError as exc:  # ragged input keeps numpy's own error
+        with pytest.raises(ValueError) as info:
+            numerics._shape(value)
+        assert str(info.value) == str(exc)
+    else:
+        assert numerics._shape(value) == expected
+
+
+def test_ragged_matrix_gets_numpys_error():
+    with pytest.raises(ValueError) as numpy_error:
+        np.shape([[1.0, 0.0], [0.0]])
+    with pytest.raises(ValueError) as info:
+        as_square_matrix([[1.0, 0.0], [0.0]])
+    assert str(info.value) == str(numpy_error.value)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        pytest.param(entry, value, id=f"{entry}-{kind}")
+        for entry in COMPONENT_ENTRY_POINTS
+        for kind, value in (("float", 1.5), ("None", None), ("0-d", np.array(1.0)))
+        if not (entry == "delta_w" and value is None)  # there None asks for the standard states
+    ],
+)
+def test_component_states_that_are_no_sequence_are_refused_with_the_count(entry, value):
+    with pytest.raises(ValueError) as info:
+        COMPONENT_ENTRY_POINTS[entry](cycle_config(3), value)
+    assert str(info.value) == f"need 3 component states, got {value!r}"
 
 
 def test_component_states_may_be_any_iterable_and_a_complex_stack_is_not_copied():

@@ -5,9 +5,10 @@ component stack, W2, zeta, the paper layout and its plan. Scans, default
 configurations and default ``delta_w`` calls take it. These tests check that
 a cold and a warm record give the same report, that the record equals a
 fresh build and cannot be changed from outside, that it is neither rebuilt
-nor re-planned where it is taken, and that the one-pass layout plan gives
-the arrays and error messages recorded from the earlier two-pass
-``check_layout``/``_layout_plan``.
+nor re-planned where it is taken, that its component stack is built once and
+recognises a caller's standard states without building them, and that the
+one-pass layout plan gives the arrays and error messages recorded from the
+earlier two-pass ``check_layout``/``_layout_plan``.
 """
 
 import dataclasses
@@ -312,6 +313,42 @@ def test_delta_w_builds_parts_when_priors_or_components_differ(monkeypatch):
     assert len(built) == 3 and built[0] == nudged.tobytes() and built[1] == uniform.tobytes()
     cycle.delta_w(cycle.cycle_config(5, priors=[0.2] * 5), counterfactual_zeta=0.9)
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 31])
+def test_cold_standard_cycle_builds_the_standard_stack_once(monkeypatch, d):
+    cycle._standard_cycle.cache_clear()
+    cycle._standard_stack.cache_clear()
+    built = []
+    build = cycle.component_states
+
+    def counted(d):
+        built.append(d)
+        return build(d)
+
+    monkeypatch.setattr(cycle, "component_states", counted)
+    record = cycle._standard_cycle(d)
+    assert built == [d]
+    assert record.components is cycle._standard_stack(d)
+    assert record.components.tobytes() == np.asarray(build(d)).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 31, 61])
+def test_warm_delta_w_recognises_given_standard_states_without_building_them(monkeypatch, d):
+    cfg = cycle.cycle_config(d)
+    comps = component_states(d)
+    expected = cycle.delta_w(cfg).as_dict()
+    cycle._standard_cycle(d)
+
+    def forbidden(*args):
+        raise AssertionError("the standard component states were built again")
+
+    monkeypatch.setattr(cycle, "component_states", forbidden)
+    monkeypatch.setattr(cycle, "_pair_operators", forbidden)
+    assert cycle.delta_w(cfg, components=comps).as_dict() == expected
+    nudged = [rho.copy() for rho in comps]
+    nudged[-1][0, 0] = np.nextafter(nudged[-1][0, 0].real, 1.0)  # state 0 agrees, the stack does not
+    assert cycle.delta_w(cfg, components=nudged).zeta is None
 
 
 def test_delta_w_with_given_components_does_not_build_the_record():

@@ -6,9 +6,9 @@ that a non-integer d is rejected at every entry point rather than truncated,
 that a configuration's checked plan is built once and never carried stale
 into a copy, that layout members must be integers, and that component i of
 the cycle is the certainty operator of the pair ensemble (z:i, 0:i) byte for
-byte, d = 2 included. They also pin that ``bound --gamma`` decides degeneracy
-with ``qubit``'s predicate and that ``mub --tol`` and ``verify_mub`` default to
-``numerics.ROUNDOFF_TOL``.
+byte, d = 2 included, and is built by that operator from ``projector``. They
+also pin that ``bound --gamma`` decides degeneracy with ``qubit``'s predicate
+and that ``mub --tol`` and ``verify_mub`` default to ``numerics.ROUNDOFF_TOL``.
 """
 
 import dataclasses
@@ -214,6 +214,30 @@ def test_component_is_the_pair_certainty_operator(d):
         assert rho.tobytes() == op.tobytes()
         if d == 2:
             assert rho.tobytes() == certainty_operator(pauli_pair_ensemble("z", "x", (i, i))).tobytes()
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 31])
+def test_components_are_built_by_the_certainty_operator_from_projectors(monkeypatch, d):
+    expected = [rho.tobytes() for rho in component_states(d)]
+    operators = count_calls(monkeypatch, cycle, "certainty_operator")
+    projectors = count_calls(monkeypatch, cycle, "projector")
+    assert [rho.tobytes() for rho in component_states(d)] == expected
+    assert (len(operators), len(projectors)) == (d, 2 * d)
+    # one component alone builds one operator
+    assert cycle.component_state(d, d - 1).tobytes() == expected[-1]
+    assert (len(operators), len(projectors)) == (d + 1, 2 * d + 2)
 
 
 @pytest.mark.parametrize(
