@@ -7,6 +7,7 @@ raise ``ValueError`` with the offending deviation so callers can report it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -153,8 +154,8 @@ def fix_global_phase(psi: np.ndarray) -> np.ndarray:
 
 def check_state_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate a normalized complex state vector: | ||v|| - 1 | <= ``ROUNDOFF_TOL``."""
-    if dim is not None and np.size(v) != dim:
-        raise ValueError(f"state has dimension {np.size(v)}, expected {dim}")
+    if dim is not None and (size := math.prod(_shape(v))) != dim:
+        raise ValueError(f"state has dimension {size}, expected {dim}")
     a = np.asarray(v, dtype=complex).reshape(-1)
     if not np.isfinite(a).all():
         raise ValueError("state contains NaN or Inf entries")
@@ -166,7 +167,7 @@ def check_state_vector(v, dim: int | None = None) -> np.ndarray:
 
 def projector(v) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized state vector of at most ``MAX_DIM`` entries."""
-    check_index(np.size(v), "state dimension", cap=MAX_DIM)
+    check_index(math.prod(_shape(v)), "state dimension", cap=MAX_DIM)
     a = check_state_vector(v)
     return np.outer(a, a.conj())
 

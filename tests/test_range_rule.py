@@ -181,6 +181,22 @@ def test_nested_list_shape_is_read_without_converting_it(call, message):
     assert peak < MEGABYTE
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (projector, f"state dimension=1000000 exceeds the supported maximum {MAX_DIM}"),
+        (lambda v: numerics.check_state_vector(v, dim=2), "state has dimension 1000000, expected 2"),
+        (qubit.state_to_bloch, "state has dimension 1000000, expected 2"),
+    ],
+    ids=["projector", "check_state_vector", "state_to_bloch"],
+)
+def test_nested_list_state_is_counted_without_converting_it(call, message):
+    nested = [[0.0] * 1000 for _ in range(1000)]  # converted whole it would take 8 MB
+    peak, got = peak_and_message(lambda: call(nested))
+    assert got == message
+    assert peak < MEGABYTE
+
+
 @pytest.mark.parametrize("entry", COMPONENT_ENTRY_POINTS)
 def test_nested_list_component_states_are_not_converted(entry):
     cfg = cycle_config(3)

@@ -23,6 +23,14 @@ from finecert.mub import MubFamily, MubVerification, is_prime, mub_family, verif
 ODD_PRIMES = [p for p in range(3, 62) if is_prime(p)]
 
 
+@pytest.fixture(autouse=True)
+def cold_scan():
+    """Forget every verified family, so that each test here times and checks
+    the scan itself, not the record an earlier test left for the package's
+    own family of its d."""
+    mub._VERIFIED.clear()
+
+
 def reference_verify(family, tol=1e-10):
     d = family.d
     labels = family.labels
