@@ -419,7 +419,15 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
                          "either identical or orthogonal and carry no pair bound")
     p1 = projector(_mub._member_rows(d, i1, _mub.outcome_index(d, j1)))
     p2 = projector(_mub._member_rows(d, i2, _mub.outcome_index(d, j2)))
-    return measurement_ensemble([(f"{k1}:{int(j1)}", 0.5, p1), (f"{k2}:{int(j2)}", 0.5, p2)])
+    return _equal_pair(d, f"{k1}:{int(j1)}", p1, f"{k2}:{int(j2)}", p2)
+
+
+def _equal_pair(d: int, label1: str, p1, label2: str, p2) -> MeasurementEnsemble:
+    """The equal-weight ensemble of ``p1`` and ``p2``, the ``projector`` of two
+    rows that :mod:`finecert.mub` built. ``measurement_ensemble`` would accept
+    it as it stands, so its O(d^3) Hermiticity and idempotency checks are
+    skipped."""
+    return MeasurementEnsemble(d, (EnsembleTerm(label1, 0.5, p1), EnsembleTerm(label2, 0.5, p2)))
 
 
 def mub_pair_bound(d: int) -> float:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mub as _mub
-from .bounds import EnsembleTerm, MeasurementEnsemble, certainty_operator, mub_pair_bound
+from .bounds import _equal_pair, certainty_operator, mub_pair_bound
 from .numerics import (
     MAX_DIM,
     MAX_SCAN_SAMPLES,
@@ -99,9 +99,7 @@ def _pair_operators(d: int, outcomes) -> list:
     skip the ensemble check."""
     rows = zip(outcomes, _mub._member_rows(d, 0, outcomes), _mub._member_rows(d, 1, outcomes))
     return [
-        certainty_operator(MeasurementEnsemble(d, (
-            EnsembleTerm(f"z:{i}", 0.5, projector(u)), EnsembleTerm(f"0:{i}", 0.5, projector(v))
-        )))
+        certainty_operator(_equal_pair(d, f"z:{i}", projector(u), f"0:{i}", projector(v)))
         for i, u, v in rows
     ]
 

@@ -8,9 +8,11 @@ a family of d quadratic-phase bases
 
 whose cross-basis squared overlaps all equal 1/d (the quadratic-phase case of
 Wootters & Fields, Ann. Phys. 191, 363, 1989). Every amplitude is one entry of
-a single table of the d roots w^e / sqrt(d), looked up at the phase exponent
-reduced modulo d, so large indices never accumulate angle error and a vector
-has the same bytes whichever function builds it.
+a single table of the d roots w^e / sqrt(d), stored twice over, looked up at
+d + (k l^2 mod d) - (2 j l mod d): the exponent as the difference of its two
+reduced terms, which lies in 1..2d-1 and needs no modulo of its own. So large
+indices never accumulate angle error, and a vector has the same bytes
+whichever function builds it.
 
 For d = 2 the quadratic phase degenerates (the -2jl term vanishes mod 2), so
 there is no quadratic family and ``mub_family(2)`` is rejected. The pair of
@@ -96,8 +98,11 @@ def computational_basis(d: int) -> np.ndarray:
 
 
 def _roots(d: int) -> np.ndarray:
-    """Entry e is the amplitude w^e / sqrt(d) for a reduced exponent e."""
-    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    """The amplitudes w^e / sqrt(d) of e = 0..d-1, twice over: entry d + e is
+    that of e mod d for every e in -d+1..d-1, so an exponent formed as the
+    difference of two reduced terms needs no further reduction."""
+    roots = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    return np.concatenate((roots, roots))
 
 
 def _check_basis_index(d: int, k) -> int:
@@ -107,20 +112,40 @@ def _check_basis_index(d: int, k) -> int:
     return k
 
 
+#: dtype of the exponent arithmetic: each product in it, k*l^2 or 2*j*l with
+#: k, j, l < d <= MAX_DIM, stays below 2**15, and a family's (d, d) temporaries
+#: stay a quarter the size of int64 ones.
+_TERM = np.int16
+
+
 def _phase_terms(d: int, j):
     """The two reduced terms of the exponent k*l^2 - 2*j*l of vector j (an int,
     or a 1-d array of ints for several rows): l^2 mod d and 2*j*l mod d. Neither
     depends on the basis k, so a family takes them once."""
-    l = np.arange(d)
-    return l * l % d, 2 * np.multiply.outer(j, l) % d
+    l = np.arange(d, dtype=_TERM)
+    return l * l % d, 2 * np.asarray(j, dtype=_TERM)[..., None] * l % d
 
 
-def _quadratic_rows(roots: np.ndarray, k: int, terms, out=None) -> np.ndarray:
-    """The rows of basis k whose ``_phase_terms`` are ``terms``, written to
-    ``out`` if given; the exponent is reduced mod d before the lookup."""
-    square, linear = terms
-    # the indices are reduced already; "wrap" lets take write to out unbuffered
-    return np.take(roots, (k * square - linear) % roots.size, out=out, mode="wrap")
+def _lookup(d: int, k, j) -> tuple:
+    """What ``_quadratic_rows`` reads for rows j (an int or a 1-d int array) of
+    basis k: the doubled roots table, k*l^2 mod d (one row, or a (d, d) table
+    over k when k is an array) and the offsets d - (2*j*l mod d). Both index
+    parts and their sum, at most 2d - 1, fit uint8: a family's two tables
+    take 2 d^2 bytes, which keeps a warm ``verify_mub`` of d = 61 below
+    128 KiB of working memory."""
+    square, linear = _phase_terms(d, j)
+    shifts = np.asarray(k, dtype=_TERM)[..., None] * square % d
+    return _roots(d), shifts.astype(np.uint8), (d - linear).astype(np.uint8)
+
+
+def _quadratic_rows(roots: np.ndarray, shift, offsets, out=None, index=None) -> np.ndarray:
+    """The rows of a basis from ``_lookup``'s parts, with ``shift`` that basis's
+    k*l^2 mod d, written to ``out`` if given; ``index``, if given, is a reused
+    intp buffer of the offsets' shape. The index d + (k*l^2 mod d) - (2*j*l mod d)
+    lies in 1..2d-1, where the doubled table holds w^(k*l^2 - 2*j*l) / sqrt(d)."""
+    index = np.add(offsets, shift, out=index)
+    # the index is in range; "clip" lets take write to out unbuffered
+    return roots.take(index, out=out, mode="clip")
 
 
 def _member_rows(d: int, i: int, j) -> np.ndarray:
@@ -130,7 +155,7 @@ def _member_rows(d: int, i: int, j) -> np.ndarray:
         return _qubit.pauli_eigenbasis("z" if i == 0 else "x")[j]
     if i == 0:
         return np.eye(d, dtype=complex)[j]
-    return _quadratic_rows(_roots(d), i - 1, _phase_terms(d, j))
+    return _quadratic_rows(*_lookup(d, i - 1, j))
 
 
 def outcome_index(d: int, j) -> int:
@@ -162,20 +187,20 @@ def basis_index(d: int, label) -> int:
 def mub_vector(d: int, k: int, j: int) -> np.ndarray:
     """Vector j of quadratic-phase basis k in dimension d.
 
-    Every amplitude has modulus 1/sqrt(d); the exponent k*l^2 - 2*j*l is
-    reduced mod d before the d-th root of unity is looked up.
+    Every amplitude has modulus 1/sqrt(d); it is the d-th root of unity at
+    the exponent k*l^2 - 2*j*l, looked up from its two reduced terms.
     """
     d = _check_dim(d)
     k = _check_basis_index(d, k)
     j = outcome_index(d, j)
-    return _quadratic_rows(_roots(d), k, _phase_terms(d, j))
+    return _quadratic_rows(*_lookup(d, k, j))
 
 
 def quadratic_basis(d: int, k: int) -> np.ndarray:
     """All d vectors of quadratic-phase basis k, stacked as rows."""
     d = _check_dim(d)
     k = _check_basis_index(d, k)
-    return _quadratic_rows(_roots(d), k, _phase_terms(d, np.arange(d)))
+    return _quadratic_rows(*_lookup(d, k, np.arange(d)))
 
 
 @dataclass(frozen=True)
@@ -204,16 +229,16 @@ class MubFamily:
 def mub_family(d: int) -> MubFamily:
     """Computational basis plus the d quadratic-phase bases.
 
-    Filled one basis at a time, in place, from one roots table and one pair
-    of phase terms, so temporaries stay O(d^2).
+    Filled one basis at a time, in place, from one ``_lookup`` and one reused
+    index buffer, so temporaries stay O(d^2).
     """
     d = _check_dim(d)
-    roots = _roots(d)
-    terms = _phase_terms(d, np.arange(d))
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d, dtype=complex)
+    roots, shifts, offsets = _lookup(d, np.arange(d), np.arange(d))
+    index = np.empty((d, d), dtype=np.intp)
     for k in range(d):
-        _quadratic_rows(roots, k, terms, out=bases[1 + k])
+        _quadratic_rows(roots, shifts[k], offsets, out=bases[1 + k], index=index)
     return MubFamily(d=d, bases=bases)
 
 
@@ -287,23 +312,25 @@ _VERIFIED: dict = {}
 
 
 def _is_own_family(bases: np.ndarray, d: int) -> bool:
-    """Whether ``bases``, a (d+1, d, d) array of finite entries, has the bits
-    of ``mub_family(d).bases``. Each basis is rebuilt in turn into one reused
-    (d, d) buffer and compared through int64 views, so the check stops at the
-    first basis that differs and never holds a second family."""
+    """Whether ``bases``, a (d+1, d, d) array, has the bits of
+    ``mub_family(d).bases`` (and so finite entries). Each basis is rebuilt in
+    turn into one reused (d, d) buffer and compared through int64 views into
+    one reused bool buffer, so the check stops at the first basis that
+    differs and never holds a second family."""
     if bases.dtype != np.complex128 or not bases.flags.c_contiguous:
         return False
     if d % 2 == 0 or d > MAX_DIM or not is_prime(d):
         return False
+    roots, shifts, offsets = _lookup(d, np.arange(d), np.arange(d))
+    index = np.empty((d, d), dtype=np.intp)
     bits = bases.view(np.int64)
     buffer = np.eye(d, dtype=complex)
-    if not np.array_equal(bits[0], buffer.view(np.int64)):
+    differs = np.empty((d, 2 * d), dtype=bool)
+    if np.not_equal(bits[0], buffer.view(np.int64), out=differs).any():
         return False
-    roots = _roots(d)
-    terms = _phase_terms(d, np.arange(d))
     for k in range(d):
-        _quadratic_rows(roots, k, terms, out=buffer)
-        if not np.array_equal(bits[1 + k], buffer.view(np.int64)):
+        _quadratic_rows(roots, shifts[k], offsets, out=buffer, index=index)
+        if np.not_equal(bits[1 + k], buffer.view(np.int64), out=differs).any():
             return False
     return True
 
@@ -389,15 +416,16 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     and works a block of bases at a time in O(block) memory.
 
     The package's own family is scanned once per process per d. It is
-    recognised by its exact bits: a complex128, C-ordered family of an odd
-    prime d whose basis 0 is the identity and whose every basis k has the
-    bits of quadratic basis k, rebuilt one basis at a time into one reused
-    (d, d) buffer. The deviations, worst places and maxima of its first scan
-    are kept, and ``passed`` is decided again for each ``tol``. Any other
-    family, one ulp off, complex64, real or reordered, is scanned in full.
-    At d = 61 a first call takes about 100-150 ms and a later one about
-    3.4 ms (0.6-0.8 ms at d = 31, 0.05-0.08 ms at d = 3), most of it the
-    recognition.
+    recognised by its exact bits, before the check for NaN and Inf, which
+    its bits pass: a complex128, C-ordered family of an odd prime d whose
+    basis 0 is the identity and whose every basis k has the bits of
+    quadratic basis k, rebuilt one basis at a time into one reused (d, d)
+    buffer. The deviations, worst places and maxima of its first scan are
+    kept, and ``passed`` is decided again for each ``tol``. Any other
+    family, one ulp off, complex64, real or reordered, is checked for NaN
+    and Inf and scanned in full. At d = 61 a first call takes about
+    100-150 ms and a later one about 0.85 ms (0.22 ms at d = 31, 0.04 ms at
+    d = 3), nearly all of it the recognition.
     Each CLI command is its own process, so ``finecert mub d --verify``
     always scans.
     """
@@ -408,11 +436,12 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     shape = np.shape(family.bases)
     if shape != (d + 1, d, d):
         raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
-    if not np.all(np.isfinite(family.bases)):
-        raise ValueError("family bases contain NaN or Inf entries")
     bases = np.asarray(family.bases)
-    bases = bases.astype(np.result_type(bases, 1.0), copy=False)  # the dtype of every product
-    own = _is_own_family(bases, d)
+    own = _is_own_family(bases, d)  # the package's own bits are finite and complex128
+    if not own:
+        if not np.all(np.isfinite(bases)):
+            raise ValueError("family bases contain NaN or Inf entries")
+        bases = bases.astype(np.result_type(bases, 1.0), copy=False)  # the dtype of every product
     scan = _VERIFIED.get(d) if own else None
     if scan is None:
         scan = _scan(bases, d)

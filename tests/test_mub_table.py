@@ -2,11 +2,13 @@
 
 Every MUB amplitude is looked up in one table of d-th roots; these tests pin
 that the bytes equal the per-vector evaluation of the quadratic phase, that
-pair ensembles built from two vectors equal those cut from a whole family,
-and that every label and outcome error keeps its message.
+pair ensembles built from two vectors equal those cut from a whole family
+and those that ``measurement_ensemble`` checks, and that every label and
+outcome error keeps its message.
 """
 
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecert import bounds, cycle, mub
+from finecert import bounds, cycle, mub, qubit
 from finecert.cli import main
+from finecert.numerics import projector
 
 ODD_PRIMES = [p for p in range(3, 62) if mub.is_prime(p)]
 
@@ -66,6 +69,35 @@ def test_pair_ensemble_projectors_equal_family_outer_products(choice):
         assert term.label == f"{k}:{j}"
         assert term.weight == 0.5
         assert term.projector.tobytes() == np.outer(v, v.conj()).tobytes()
+
+
+def pair_vector(d, label, j):
+    """Vector j of basis ``label``: the family's row, or at d = 2 the Pauli z or x eigenvector."""
+    if d == 2:
+        return qubit.pauli_eigenbasis("z" if label == "z" else "x")[j]
+    return mub.mub_family(d).vector(label, j)
+
+
+@pytest.mark.parametrize("d", [2] + ODD_PRIMES)
+def test_pair_ensemble_equals_the_validated_ensemble(d):
+    # the pair is built from mub's rows without measurement_ensemble's checks;
+    # the checked build of the same rows must give the same ensemble
+    labels = ["z", 0] if d == 2 else ["z", 0, 1, d - 1]
+    outcomes = [(0, 0), (1, d - 1), (d - 1, d // 2)]
+    for k1, k2 in itertools.permutations(labels, 2):
+        for j1, j2 in outcomes:
+            ens = bounds.mub_pair_ensemble(d, k1, k2, j1, j2)
+            checked = bounds.measurement_ensemble(
+                [(f"{k}:{j}", 0.5, projector(pair_vector(d, k, j))) for k, j in ((k1, j1), (k2, j2))]
+            )
+            assert type(ens.dim) is int and ens.dim == checked.dim == d
+            assert len(ens.terms) == len(checked.terms) == 2
+            for term, reference in zip(ens.terms, checked.terms):
+                assert type(term.label) is str and term.label == reference.label
+                assert type(term.weight) is float and term.weight == reference.weight
+                assert term.projector.dtype == reference.projector.dtype
+                assert term.projector.shape == reference.projector.shape == (d, d)
+                assert term.projector.tobytes() == reference.projector.tobytes()
 
 
 SAME = ("the two bases must differ; same-basis outcomes are either identical "

@@ -1,6 +1,6 @@
 """The package's copies of numpy internals, each checked against numpy itself.
 
-Six functions reproduce numpy's own arithmetic so that their results keep
+Seven functions reproduce numpy's own arithmetic so that their results keep
 numpy's bits:
 
 - ``bounds._row_sums`` sums a grid block's columns in the order numpy 2.4
@@ -18,7 +18,11 @@ numpy's bits:
 - ``mub.verify_mub`` runs one (m d x d) (d x d) GEMM per later basis over
   the rows of the earlier bases, a block at a time, into a reused buffer,
   which keeps the bits of one d x d product per pair of bases under the same
-  condition.
+  condition;
+- ``mub._quadratic_rows`` adds two uint8 index parts into a reused intp
+  buffer and gathers the roots with ``take(index, out=..., mode="clip")``
+  into a reused (d, d) slot, which gives the values of fancy indexing only
+  while clip mode passes an in-range index through unchanged.
 
 CI runs this module first and stops at the first failure, so a numpy or BLAS
 change that moves one of them fails here with a message naming the copy and
@@ -49,6 +53,7 @@ CHILD_STATES = f"cycle._child_states no longer follows numpy {np.__version__}"
 HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
 PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
 OVERLAPS = f"mub.verify_mub's tall overlap product no longer matches a product per pair on numpy {np.__version__}"
+GATHER = f"mub._quadratic_rows' clipped take no longer matches fancy indexing on numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------- bounds._row_sums
@@ -278,3 +283,28 @@ def test_tall_overlap_products_keep_the_bytes_of_one_product_per_pair(d, dtype):
                 for b1 in range(lo, hi):
                     pair = bases[b1] @ bases[b2].conj().T
                     assert tall[(b1 - lo) * d : (b1 - lo + 1) * d].tobytes() == pair.tobytes(), OVERLAPS
+
+
+# ---------------------------------------------------------------- mub._quadratic_rows
+
+
+@pytest.mark.parametrize("d", [3, 31, 61])
+def test_clipped_take_into_a_reused_slot_equals_fancy_indexing(d):
+    """Two uint8 parts summed into a reused intp buffer, then ``take`` with
+    ``out=`` and ``mode="clip"`` into each slot of a stack in turn, give the
+    bytes of ``table[parts_a + parts_b]`` for every in-range index, whatever
+    the buffers held before."""
+    rng = np.random.default_rng(d)
+    table = mub._roots(d)
+    index = np.full((d, d), -1, dtype=np.intp)
+    slots = np.full((3, d, d), np.nan, dtype=complex)
+    for slot in slots:
+        first = rng.integers(1, d + 1, (d, d)).astype(np.uint8)  # as d - (2 j l mod d)
+        second = rng.integers(0, d, d).astype(np.uint8)  # as k l^2 mod d
+        first[0, 0], second[0] = 1, 0  # the smallest index, 1
+        first[1, -1], second[-1] = d, d - 1  # the largest, 2d - 1
+        np.add(first, second, out=index)
+        assert np.array_equal(index, first.astype(np.intp) + second), GATHER
+        table.take(index, out=slot, mode="clip")
+        assert slot.tobytes() == table[first.astype(np.intp) + second].tobytes(), GATHER
+
