@@ -18,6 +18,7 @@ than an estimate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,11 @@ class HypersphericalAngles:
 
 def hyperspherical_state(x, phi) -> np.ndarray:
     """Amplitudes (cos x0, e^{i phi_1} sin x0 cos x1, ..., e^{i phi_{d-1}} sin x0..sin x_{d-2})."""
+    # the counts come before the float copies are made
+    if (nx := math.prod(_shape(x))) != (nphi := math.prod(_shape(phi))) or nx < 1:
+        raise ValueError(f"need d-1 moduli angles and d-1 phases, got {nx} and {nphi}")
     x = np.asarray(x, dtype=float).reshape(-1)
     phi = np.asarray(phi, dtype=float).reshape(-1)
-    if x.size != phi.size or x.size < 1:
-        raise ValueError(f"need d-1 moduli angles and d-1 phases, got {x.size} and {phi.size}")
     # written as "not inside" so that NaN angles are rejected too
     if not (np.all(x >= 0.0) and np.all(x <= np.pi / 2.0 + 1e-12)):
         raise ValueError("moduli angles must lie in [0, pi/2]")
@@ -382,27 +384,21 @@ def pauli_pair_ensemble(axis1: str = "x", axis2: str = "z", outcomes=(0, 0)) -> 
     """Equal-weight qubit ensemble of one outcome from each of two Pauli bases."""
     if _qubit._check_axis(axis1) == _qubit._check_axis(axis2):  # compared case-folded
         raise ValueError("the two Pauli measurements must differ")
-    o1, o2 = (check_index(o, "outcome") for o in outcomes)
-    return measurement_ensemble(
-        [
-            (f"{axis1}:{o1}", 0.5, _qubit.pauli_outcome_projector(axis1, o1)),
-            (f"{axis2}:{o2}", 0.5, _qubit.pauli_outcome_projector(axis2, o2)),
-        ]
-    )
+    return _pauli_ensemble((axis1, axis2), outcomes)
 
 
 def pauli_triple_ensemble(outcomes=(0, 0, 0)) -> MeasurementEnsemble:
     """Equal-weight qubit ensemble of one outcome from each Pauli basis."""
-    outcomes = tuple(check_index(o, "outcome") for o in outcomes)
-    if len(outcomes) != 3:
-        raise ValueError("need one outcome for each of the axes x, y, z")
-    third = 1.0 / 3.0
-    return measurement_ensemble(
-        [
-            (f"{axis}:{o}", third, _qubit.pauli_outcome_projector(axis, o))
-            for axis, o in zip("xyz", outcomes)
-        ]
-    )
+    return _pauli_ensemble("xyz", outcomes)
+
+
+def _pauli_ensemble(axes, outcomes) -> MeasurementEnsemble:
+    """Equal-weight ensemble of outcome o of each Pauli axis, labelled "axis:o" as given."""
+    outcomes = [check_index(o, "outcome") for o in outcomes]
+    if len(outcomes) != len(axes):
+        raise ValueError(f"need one outcome for each of the axes {', '.join(axes)}")
+    terms = [(f"{a}:{o}", _qubit.pauli_outcome_projector(a, o)) for a, o in zip(axes, outcomes)]
+    return _equal_ensemble(2, terms)
 
 
 def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> MeasurementEnsemble:
@@ -419,15 +415,16 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
                          "either identical or orthogonal and carry no pair bound")
     p1 = projector(_mub._member_rows(d, i1, _mub.outcome_index(d, j1)))
     p2 = projector(_mub._member_rows(d, i2, _mub.outcome_index(d, j2)))
-    return _equal_pair(d, f"{k1}:{int(j1)}", p1, f"{k2}:{int(j2)}", p2)
+    return _equal_ensemble(d, [(f"{k1}:{int(j1)}", p1), (f"{k2}:{int(j2)}", p2)])
 
 
-def _equal_pair(d: int, label1: str, p1, label2: str, p2) -> MeasurementEnsemble:
-    """The equal-weight ensemble of ``p1`` and ``p2``, the ``projector`` of two
-    rows that :mod:`finecert.mub` built. ``measurement_ensemble`` would accept
-    it as it stands, so its O(d^3) Hermiticity and idempotency checks are
-    skipped."""
-    return MeasurementEnsemble(d, (EnsembleTerm(label1, 0.5, p1), EnsembleTerm(label2, 0.5, p2)))
+def _equal_ensemble(d: int, terms) -> MeasurementEnsemble:
+    """The equal-weight ensemble of (label, projector) terms, each the ``projector``
+    of a row that :mod:`finecert.mub` or :mod:`finecert.qubit` built.
+    ``measurement_ensemble`` would accept it as it stands, so its O(d^3)
+    Hermiticity and idempotency checks are skipped."""
+    weight = 1.0 / len(terms)
+    return MeasurementEnsemble(d, tuple(EnsembleTerm(label, weight, p) for label, p in terms))
 
 
 def mub_pair_bound(d: int) -> float:

@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mub as _mub
-from .bounds import _equal_pair, certainty_operator, mub_pair_bound
+from .bounds import _equal_ensemble, certainty_operator, mub_pair_bound
 from .numerics import (
     MAX_DIM,
     MAX_SCAN_SAMPLES,
@@ -99,7 +100,7 @@ def _pair_operators(d: int, outcomes) -> list:
     skip the ensemble check."""
     rows = zip(outcomes, _mub._member_rows(d, 0, outcomes), _mub._member_rows(d, 1, outcomes))
     return [
-        certainty_operator(_equal_pair(d, f"z:{i}", projector(u), f"0:{i}", projector(v)))
+        certainty_operator(_equal_ensemble(d, [(f"z:{i}", projector(u)), (f"0:{i}", projector(v))]))
         for i, u, v in rows
     ]
 
@@ -188,9 +189,9 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     membrane basis, and the paper preset with its checked plan from the standard
     cycle of d that scans use. A basis or layout the caller passes is checked here, once."""
     d = _mub._check_dim(d, qubit=True)
+    if priors is not None and (size := math.prod(_shape(priors))) != d:  # before the float copy
+        raise ValueError(f"need {d} priors, got {size}")
     priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
-    if priors.shape[0] != d:
-        raise ValueError(f"need {d} priors, got {priors.shape[0]}")
     if not np.all(np.isfinite(priors)):
         raise ValueError("priors contain NaN or Inf entries")
     if float(priors.min()) < 0.0:

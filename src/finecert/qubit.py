@@ -9,13 +9,14 @@ geometry. Every function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (DEGENERACY_TOL, ROUNDOFF_TOL, check_index, check_state_vector,
+from .numerics import (DEGENERACY_TOL, ROUNDOFF_TOL, _shape, check_index, check_state_vector,
                        fix_global_phase, projector)
 
 #: The Pauli axes, read-only: name -> (matrix, rows = its (+1, -1) eigenvectors, outcomes 0 and 1).
@@ -31,9 +32,9 @@ for _entry in _PAULI.values():
 
 def check_unit_vector(k) -> np.ndarray:
     """``k`` as a 3-component direction of norm 1 within ``ROUNDOFF_TOL``."""
+    if (size := math.prod(_shape(k))) != 3:  # before the float copy is made
+        raise ValueError(f"expected a 3-component direction, got {size}")
     a = np.asarray(k, dtype=float).reshape(-1)
-    if a.shape[0] != 3:
-        raise ValueError(f"expected a 3-component direction, got {a.shape[0]}")
     norm = float(np.linalg.norm(a))
     if not abs(norm - 1.0) <= ROUNDOFF_TOL:  # NaN-safe: a NaN entry gives a NaN norm
         raise ValueError(f"direction is not a unit vector: norm {norm:.12f}")
