@@ -30,7 +30,9 @@ from .numerics import (
     MAX_DIM,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
+    _finite,
     _shape,
+    as_square_matrix,
     check_index,
     check_state_vector,
     fix_global_phase,
@@ -85,9 +87,7 @@ def measurement_ensemble(terms) -> MeasurementEnsemble:
                 f"projector for term {label!r} has dimension {shape[0]},"
                 f" which exceeds the supported maximum {MAX_DIM}"
             )
-        p = np.asarray(proj, dtype=complex)
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"projector for term {label!r} contains NaN or Inf entries")
+        p = _finite(proj, complex, f"projector for term {label!r} contains NaN or Inf entries")
         if dim is None:
             dim = p.shape[0]
         elif p.shape[0] != dim:
@@ -150,7 +150,7 @@ def zeta_spectral(ens: MeasurementEnsemble) -> CertaintyBound:
 def lhs_value(ens: MeasurementEnsemble, psi) -> float:
     """Weighted outcome probability sum for one state, in [0, 1]."""
     psi = check_state_vector(psi, dim=ens.dim)
-    op = certainty_operator(ens)
+    op = as_square_matrix(certainty_operator(ens))
     return float(np.real(psi.conj() @ op @ psi))
 
 
@@ -320,7 +320,7 @@ def zeta_gridsearch(ens: MeasurementEnsemble, steps_per_angle: int) -> GridSearc
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; reduce steps_per_angle")
 
-    op_t = certainty_operator(ens).T
+    op_t = as_square_matrix(certainty_operator(ens)).T
     x_grid = np.linspace(0.0, np.pi / 2.0, steps)
     phi_grid = 2.0 * np.pi * np.arange(steps) / steps
     cos_x, sin_x, phase = np.cos(x_grid), np.sin(x_grid), np.exp(1j * phi_grid)

@@ -59,6 +59,7 @@ from .numerics import (
     MAX_SCAN_SAMPLES,
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
+    _finite,
     _shape,
     binary_entropy,
     check_index,
@@ -191,9 +192,8 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     d = _mub._check_dim(d, qubit=True)
     if priors is not None and (size := math.prod(_shape(priors))) != d:  # before the float copy
         raise ValueError(f"need {d} priors, got {size}")
-    priors = np.full(d, 1.0 / d) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(priors)):
-        raise ValueError("priors contain NaN or Inf entries")
+    priors = (np.full(d, 1.0 / d) if priors is None
+              else _finite(priors, float, "priors contain NaN or Inf entries").reshape(-1))
     if float(priors.min()) < 0.0:
         raise ValueError(f"negative prior {float(priors.min()):.3e}")
     if not abs(float(priors.sum()) - 1.0) <= PROBABILITY_SUM_TOL:
@@ -203,10 +203,7 @@ def cycle_config(d: int, priors=None, basis=None, layout: MembraneLayout | None 
     else:
         if (shape := _shape(basis)) != (d, d):  # before the complex copy is made
             raise ValueError(f"membrane basis must be {d}x{d}, got {shape}")
-        basis = np.asarray(basis, dtype=complex)
-        if not np.all(np.isfinite(basis)):
-            raise ValueError("membrane basis contains NaN or Inf entries")
-        _check_orthonormal(basis)
+        basis = _check_orthonormal(_finite(basis, complex, "membrane basis contains NaN or Inf entries"))
     if layout is None:
         standard = _standard_cycle(d)
         layout, plan = standard.layout, standard.plan
@@ -289,10 +286,7 @@ def _component_stack(components, d: int) -> np.ndarray:
     for shape in map(_shape, components):
         if shape != (d, d):
             raise ValueError(f"component states must be {d}x{d}, got shape {shape}")
-    comps = np.asarray(components, dtype=complex)
-    if not np.isfinite(comps).all():
-        raise ValueError("component states contain NaN or Inf entries")
-    return comps
+    return _finite(components, complex, "component states contain NaN or Inf entries")
 
 
 #: Bytes of the (n, m, d, d) complex product that ``_outcome_probabilities``

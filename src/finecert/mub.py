@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit as _qubit
-from .numerics import MAX_DIM, ROUNDOFF_TOL, check_index
+from .numerics import MAX_DIM, ROUNDOFF_TOL, _finite, _shape, check_index
 
 #: Label of the computational (Z eigenbasis) member of a family.
 Z_LABEL = "z"
@@ -433,15 +433,13 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     d = check_index(family.d, "family dimension")
     if d < 1:
         raise ValueError(f"family dimension must be at least 1 (got {d})")
-    shape = np.shape(family.bases)
+    shape = _shape(family.bases)
     if shape != (d + 1, d, d):
         raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
     bases = np.asarray(family.bases)
     own = _is_own_family(bases, d)  # the package's own bits are finite and complex128
-    if not own:
-        if not np.all(np.isfinite(bases)):
-            raise ValueError("family bases contain NaN or Inf entries")
-        bases = bases.astype(np.result_type(bases, 1.0), copy=False)  # the dtype of every product
+    if not own:  # read in the dtype of every product
+        bases = _finite(bases, np.result_type(bases, 1.0), "family bases contain NaN or Inf entries")
     scan = _VERIFIED.get(d) if own else None
     if scan is None:
         scan = _scan(bases, d)

@@ -57,14 +57,32 @@ def check_index(value, name: str, low: int | None = None, cap: int | None = None
     return n
 
 
-def _shape(m) -> tuple:
-    """``np.shape(m)``, with a list's or tuple's entries converted one at a time,
-    never the whole; ragged input goes to ``np.shape`` for numpy's own error."""
+def _shape(m, levels: int = 64) -> tuple:
+    """``np.shape(m)``, never converting a list or tuple: its entries are read one
+    at a time at every level, and a Python number is ``()`` with no numpy call.
+    Ragged input, or more than numpy's 64 (``levels``) dimensions, goes to
+    ``np.shape`` of the whole for numpy's own error."""
+    if isinstance(m, (int, float, complex)):
+        return ()
+    if not isinstance(m, (list, tuple)) or not levels:
+        return np.shape(m)
+    if set(map(type, m)) <= {int, float, complex}:  # a flat list, counted in C
+        return (len(m),)
     try:
-        inner = {np.shape(entry) for entry in m} if isinstance(m, (list, tuple)) else ()
+        inner = {_shape(entry, levels - 1) for entry in m}
     except ValueError:
         inner = ()
-    return (len(m), *inner.pop()) if len(inner) == 1 else np.shape(m)
+    if len(inner) == 1 and len(shape := (len(m), *inner.pop())) <= levels:
+        return shape
+    return np.shape(m)
+
+
+def _finite(value, dtype, message: str) -> np.ndarray:
+    """``value`` as an array of ``dtype``; a NaN or +-Inf entry raises ValueError(message)."""
+    a = np.asarray(value, dtype=dtype)
+    if not np.isfinite(a).all():
+        raise ValueError(message)
+    return a
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -75,10 +93,7 @@ def as_square_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {shape}")
     if shape[0] < 1 or shape[0] > MAX_DIM:
         raise ValueError(f"matrix dimension {shape[0]} outside [1, {MAX_DIM}]")
-    a = np.asarray(m, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
+    return _finite(m, complex, "matrix contains NaN or Inf entries")
 
 
 def hermiticity_deviation(m) -> float:
@@ -156,9 +171,7 @@ def check_state_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate a normalized complex state vector: | ||v|| - 1 | <= ``ROUNDOFF_TOL``."""
     if dim is not None and (size := math.prod(_shape(v))) != dim:
         raise ValueError(f"state has dimension {size}, expected {dim}")
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.isfinite(a).all():
-        raise ValueError("state contains NaN or Inf entries")
+    a = _finite(v, complex, "state contains NaN or Inf entries").reshape(-1)
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > ROUNDOFF_TOL:
         raise ValueError(f"state is not normalized: ||v|| = {norm:.12f}")
