@@ -31,6 +31,7 @@ from .numerics import (
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
     _finite,
+    _outer,
     _shape,
     as_square_matrix,
     check_index,
@@ -38,7 +39,6 @@ from .numerics import (
     fix_global_phase,
     hermitian_eig,
     hermiticity_deviation,
-    projector,
 )
 
 #: Hard cap on grid-search size, about a minute of vectorized evaluation.
@@ -113,11 +113,14 @@ def certainty_operator(ens: MeasurementEnsemble) -> np.ndarray:
     """Weighted projector sum; Hermitian, PSD, top eigenvalue <= 1.
 
     Accumulated in term order so that appending a zero-weight term leaves the
-    result bitwise unchanged.
+    result bitwise unchanged. A non-finite entry of a directly built
+    ensemble turns into NaN here without a warning; each bound then refuses
+    the operator at its matrix gate.
     """
     op = np.zeros((ens.dim, ens.dim), dtype=complex)
-    for term in ens.terms:
-        op += term.weight * term.projector
+    with np.errstate(invalid="ignore"):  # (w + 0j) * inf has a NaN part
+        for term in ens.terms:
+            op += term.weight * term.projector
     return op
 
 
@@ -413,16 +416,18 @@ def mub_pair_ensemble(d: int, k1="z", k2=0, j1: int = 0, j2: int = 0) -> Measure
     if i1 == i2:
         raise ValueError("the two bases must differ; same-basis outcomes are "
                          "either identical or orthogonal and carry no pair bound")
-    p1 = projector(_mub._member_rows(d, i1, _mub.outcome_index(d, j1)))
-    p2 = projector(_mub._member_rows(d, i2, _mub.outcome_index(d, j2)))
+    p1 = _outer(_mub._member_rows(d, i1, _mub.outcome_index(d, j1)))
+    p2 = _outer(_mub._member_rows(d, i2, _mub.outcome_index(d, j2)))
     return _equal_ensemble(d, [(f"{k1}:{int(j1)}", p1), (f"{k2}:{int(j2)}", p2)])
 
 
 def _equal_ensemble(d: int, terms) -> MeasurementEnsemble:
-    """The equal-weight ensemble of (label, projector) terms, each the ``projector``
-    of a row that :mod:`finecert.mub` or :mod:`finecert.qubit` built.
-    ``measurement_ensemble`` would accept it as it stands, so its O(d^3)
-    Hermiticity and idempotency checks are skipped."""
+    """The equal-weight ensemble of (label, projector) terms, each the
+    ``numerics._outer`` of a row that :mod:`finecert.mub` or
+    :mod:`finecert.qubit` built. The row passes ``projector``'s checks and
+    the ensemble ``measurement_ensemble``'s as they stand, so both, the
+    state's finiteness and norm pass and the O(d^3) Hermiticity and
+    idempotency checks, are skipped."""
     weight = 1.0 / len(terms)
     return MeasurementEnsemble(d, tuple(EnsembleTerm(label, weight, p) for label, p in terms))
 

@@ -29,6 +29,7 @@ d = 2 only ``"z"`` and 0).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +209,8 @@ class MubFamily:
     """d+1 orthonormal bases of dimension d with pairwise squared overlap 1/d.
 
     ``bases[0]`` is the computational basis; ``bases[1 + k]`` is quadratic
-    basis ``k``. ``bases[b][j]`` is the j-th vector (a row).
+    basis ``k``. ``bases[b][j]`` is the j-th vector (a row). The ``bases`` of
+    a family that ``mub_family`` built are read-only (see there).
     """
 
     d: int
@@ -226,19 +228,31 @@ class MubFamily:
         return self.bases[self.basis_index(label), j]
 
 
+#: The bases of every family that ``mub_family`` built and that is still
+#: alive, keyed by ``id``; an entry leaves when its array is collected.
+_BUILT = weakref.WeakValueDictionary()
+
+
 def mub_family(d: int) -> MubFamily:
     """Computational basis plus the d quadratic-phase bases.
 
     Filled one basis at a time, in place, from one ``_lookup`` and one reused
-    index buffer, so temporaries stay O(d^2).
+    index buffer, so temporaries stay O(d^2). The owner of the filled array
+    is then made read-only, and ``bases`` is a view of it, so a write into
+    ``bases`` raises and so does ``bases.setflags(write=True)``. That view is
+    recorded, and ``verify_mub`` trusts it by identity (see there); a copy
+    of it is an ordinary, writeable array.
     """
     d = _check_dim(d)
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d, dtype=complex)
+    owner = np.empty((d + 1, d, d), dtype=complex)
+    owner[0] = np.eye(d, dtype=complex)
     roots, shifts, offsets = _lookup(d, np.arange(d), np.arange(d))
     index = np.empty((d, d), dtype=np.intp)
     for k in range(d):
-        _quadratic_rows(roots, shifts[k], offsets, out=bases[1 + k], index=index)
+        _quadratic_rows(roots, shifts[k], offsets, out=owner[1 + k], index=index)
+    owner.setflags(write=False)
+    bases = owner.view()
+    _BUILT[id(bases)] = bases
     return MubFamily(d=d, bases=bases)
 
 
@@ -306,9 +320,16 @@ class _Scan:
 
 
 #: The scan of the package's own family of each d that a caller has verified,
-#: filled from the caller's recognised bytes after the scan has run once: at
+#: filled from a trusted or recognised family after the scan has run once: at
 #: most one entry per odd prime up to ``MAX_DIM``, 17 in all.
 _VERIFIED: dict = {}
+
+
+def _is_built(bases) -> bool:
+    """Whether ``bases`` is the very array that ``mub_family`` returned, still
+    alive, with it and its owner still read-only: then it holds the bits it
+    was built with, which ``_is_own_family`` would only confirm."""
+    return _BUILT.get(id(bases)) is bases and not (bases.flags.writeable or bases.base.flags.writeable)
 
 
 def _is_own_family(bases: np.ndarray, d: int) -> bool:
@@ -415,17 +436,26 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     tolerance, which no family could meet. The scan (``_scan``) is O(d^5)
     and works a block of bases at a time in O(block) memory.
 
-    The package's own family is scanned once per process per d. It is
-    recognised by its exact bits, before the check for NaN and Inf, which
-    its bits pass: a complex128, C-ordered family of an odd prime d whose
-    basis 0 is the identity and whose every basis k has the bits of
-    quadratic basis k, rebuilt one basis at a time into one reused (d, d)
-    buffer. The deviations, worst places and maxima of its first scan are
-    kept, and ``passed`` is decided again for each ``tol``. Any other
-    family, one ulp off, complex64, real or reordered, is checked for NaN
-    and Inf and scanned in full. At d = 61 a first call takes about
-    100-150 ms and a later one about 0.85 ms (0.22 ms at d = 31, 0.04 ms at
-    d = 3), nearly all of it the recognition.
+    The package's own family is scanned once per process per d. A family
+    that ``mub_family`` returned is trusted by identity: its ``bases`` is
+    the very read-only view it recorded, still alive, and that view and its
+    owner are still read-only, so it holds the bits it was built with. Any
+    other array (a copy, a pickled or ``dataclasses.replace``d family with
+    new bases, a view whose owner was made writeable) is recognised by its
+    exact bits, before the check for NaN and Inf, which those bits pass: a
+    complex128, C-ordered family of an odd prime d whose basis 0 is the
+    identity and whose every basis k has the bits of quadratic basis k,
+    rebuilt one basis at a time into one reused (d, d) buffer. A caller who
+    makes the owner writeable, writes through it and makes it read-only
+    again is not detected; that takes a deliberate write through
+    ``bases.base``. The deviations, worst places and maxima of the first
+    scan are kept, and ``passed`` is decided again for each ``tol``. Any
+    other family, one ulp off, complex64, real or reordered, is checked for
+    NaN and Inf and scanned in full. At d = 61 a first call takes about
+    100-150 ms. A later call on a trusted family takes about 5 us at any d,
+    with no basis built and no product formed; a later call that
+    recognises the bits takes about 0.85 ms at d = 61 (0.21 ms at d = 31,
+    0.04 ms at d = 3), nearly all of it the recognition.
     Each CLI command is its own process, so ``finecert mub d --verify``
     always scans.
     """
@@ -437,7 +467,8 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     if shape != (d + 1, d, d):
         raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
     bases = np.asarray(family.bases)
-    own = _is_own_family(bases, d)  # the package's own bits are finite and complex128
+    # the package's own bits are finite and complex128
+    own = _is_built(bases) or _is_own_family(bases, d)
     if not own:  # read in the dtype of every product
         bases = _finite(bases, np.result_type(bases, 1.0), "family bases contain NaN or Inf entries")
     scan = _VERIFIED.get(d) if own else None

@@ -181,7 +181,12 @@ def check_state_vector(v, dim: int | None = None) -> np.ndarray:
 def projector(v) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized state vector of at most ``MAX_DIM`` entries."""
     check_index(math.prod(_shape(v)), "state dimension", cap=MAX_DIM)
-    a = check_state_vector(v)
+    return _outer(check_state_vector(v))
+
+
+def _outer(a: np.ndarray) -> np.ndarray:
+    """|a><a| of a 1-d complex row, unchecked: ``projector`` after its checks,
+    and the package's own rows, which are finite and normalized as built."""
     return np.outer(a, a.conj())
 
 

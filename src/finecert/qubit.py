@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (DEGENERACY_TOL, ROUNDOFF_TOL, _shape, check_index, check_state_vector,
-                       fix_global_phase, projector)
+from .numerics import (DEGENERACY_TOL, ROUNDOFF_TOL, _outer, _shape, check_index, check_state_vector,
+                       fix_global_phase)
 
 #: The Pauli axes, read-only: name -> (matrix, rows = its (+1, -1) eigenvectors, outcomes 0 and 1).
 _S = 1.0 / np.sqrt(2.0)
@@ -54,8 +54,9 @@ def state_to_bloch(psi) -> np.ndarray:
     """Pauli expectation values (<sx>, <sy>, <sz>) of a 2-dimensional state."""
     psi = check_state_vector(psi, dim=2)
     a, b = psi
-    cross = 2.0 * (a.conjugate() * b)
-    return np.array([cross.real, cross.imag, float(abs(a) ** 2 - abs(b) ** 2)])
+    cross = a.conjugate() * b
+    # each part doubled alone: 2.0 * cross would multiply by 2 + 0j and turn a -0.0 part into +0.0
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, float(abs(a) ** 2 - abs(b) ** 2)])
 
 
 def angles_to_state(theta: float, phi: float) -> np.ndarray:
@@ -93,7 +94,7 @@ def pauli_outcome_projector(axis: str, outcome: int) -> np.ndarray:
     outcome = check_index(outcome, "outcome")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1 (got {outcome})")
-    return projector(pauli_eigenbasis(axis)[outcome])
+    return _outer(_PAULI[_check_axis(axis)][1][outcome])
 
 
 def spin_up_probability(m, k) -> float:

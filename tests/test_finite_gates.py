@@ -9,8 +9,10 @@ exact message for NaN, +Inf and -Inf, and for an imaginary NaN where the gate
 reads complex entries. The three bounds of an ensemble read its certainty
 operator through ``as_square_matrix``, so a directly built
 ``MeasurementEnsemble`` with a non-finite projector entry is refused by each
-of them with the matrix message.
+of them with the matrix message, and without a numpy warning first.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -103,12 +105,21 @@ BOUNDS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 1 + 0j
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
 def test_every_bound_reads_its_operator_through_the_matrix_gate(bound, bad):
     with pytest.raises(ValueError) as info:
         BOUNDS[bound](raw_ensemble(bad))
+    assert str(info.value) == MATRIX
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
+def test_no_bound_warns_before_it_refuses_a_non_finite_operator(bound, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning from the operator's sum fails here
+        with pytest.raises(ValueError) as info:
+            BOUNDS[bound](raw_ensemble(bad))
     assert str(info.value) == MATRIX
 
 

@@ -24,6 +24,15 @@ numpy's bits:
   into a reused (d, d) slot, which gives the values of fancy indexing only
   while clip mode passes an in-range index through unchanged.
 
+Two more pins hold what the package relies on numpy for without copying it:
+
+- ``mub.verify_mub`` trusts the bases that ``mub_family`` returned while they
+  and their owner stay read-only, which holds only while numpy refuses to
+  make a view of a read-only owner writeable;
+- ``numerics._outer`` stands in for ``projector`` on the package's own rows,
+  which gives the same bytes only while ``check_state_vector`` passes such a
+  row through as it is.
+
 CI runs this module first and stops at the first failure, so a numpy or BLAS
 change that moves one of them fails here with a message naming the copy and
 the numpy version, before any golden digest does.
@@ -39,7 +48,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finecert import cycle, mub
+from finecert import cycle, mub, qubit
+from finecert.numerics import _outer, projector
 from test_probability_blocks import components, haar_stack, reference_probabilities
 
 BINS = 20
@@ -54,6 +64,8 @@ HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
 PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
 OVERLAPS = f"mub.verify_mub's tall overlap product no longer matches a product per pair on numpy {np.__version__}"
 GATHER = f"mub._quadratic_rows' clipped take no longer matches fancy indexing on numpy {np.__version__}"
+READ_ONLY = f"numpy {np.__version__} lets a view of a read-only owner be made writeable; mub.verify_mub's trust needs it not to"
+OUTER = f"numerics._outer no longer gives projector's bytes for the package's own rows on numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------- bounds._row_sums
@@ -308,3 +320,44 @@ def test_clipped_take_into_a_reused_slot_equals_fancy_indexing(d):
         table.take(index, out=slot, mode="clip")
         assert slot.tobytes() == table[first.astype(np.intp) + second].tobytes(), GATHER
 
+
+# ---------------------------------------------------------------- mub.mub_family's read-only bases
+
+
+def test_a_view_of_a_read_only_owner_cannot_be_made_writeable():
+    owner = np.zeros((4, 3, 3), dtype=complex)
+    owner.setflags(write=False)
+    for view in (owner.view(), owner[1:], owner.view().view(), owner.reshape(4, 9)):
+        assert not view.flags.writeable, READ_ONLY
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            view.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+    # the owner itself may be made writeable again, so verify_mub reads its flag too
+    owner.setflags(write=True)
+    view = owner.view()
+    view.setflags(write=False)
+    view.setflags(write=True)
+    assert view.flags.writeable, READ_ONLY
+
+
+# ---------------------------------------------------------------- numerics._outer
+
+
+def own_rows(d):
+    """Every row the package builds at d: each member's rows and, at d = 2,
+    the rows of all three Pauli axes."""
+    members = range(d + 1) if d > 2 else range(2)
+    rows = [row for i in members for row in mub._member_rows(d, i, np.arange(d))]
+    if d == 2:
+        rows += [row for axis in "xyz" for row in qubit._PAULI[axis][1]]
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 61])
+def test_outer_of_an_own_row_has_the_bytes_of_its_projector(d):
+    rows = own_rows(d)
+    if d > 2:
+        rows += list(mub.mub_family(d).bases.reshape(-1, d))  # read-only rows
+    for row in rows:
+        assert _outer(row).tobytes() == projector(row).tobytes(), OUTER

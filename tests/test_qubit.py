@@ -319,6 +319,15 @@ def test_state_to_bloch_keeps_the_literal_formula_bytes(k):
     assert got.tobytes() == literal_state_to_bloch(*psi).tobytes()
 
 
+@pytest.mark.parametrize(
+    "psi", [[1.0, complex(re, im)] for re in (0.0, -0.0) for im in (0.0, -0.0)] + [[complex(0.0, -0.0), 1.0]]
+)
+def test_state_to_bloch_keeps_the_literal_bytes_of_signed_zeros(psi):
+    # bloch_to_state([-0.0, -0.0, 1.0]) is (1, 0.0 - 0.0j), whose <sy> is -0.0 by the literal formula
+    psi = np.array(psi, dtype=complex)
+    assert state_to_bloch(psi).tobytes() == literal_state_to_bloch(*psi).tobytes()
+
+
 @pytest.mark.parametrize("axis", ["x", "y", "z", "X", "Y", "Z"])
 def test_pauli_eigenbasis_keeps_the_literal_bytes_in_a_fresh_copy(axis):
     expected = literal_eigenbasis(axis.lower())
