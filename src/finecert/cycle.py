@@ -60,13 +60,13 @@ from .numerics import (
     PROBABILITY_SUM_TOL,
     ROUNDOFF_TOL,
     _finite,
+    _outer,
     _shape,
     binary_entropy,
     check_index,
     shannon_entropy,
     von_neumann_entropy,
 )
-from .numerics import _outer as projector  # |v><v| of mub's own rows, unchecked
 
 UNIFORM_TOL = 1e-12
 #: Slack used when classifying singleton arguments against the bound.
@@ -97,11 +97,11 @@ def component_states(d: int) -> list:
 
 def _pair_operators(d: int, outcomes) -> list:
     """``certainty_operator`` of the pair (z:i, 0:i) for each outcome i, from the
-    ``projector`` of each row, ``numerics._outer``: the rows, taken once, are
+    ``numerics._outer`` of each row: the rows, taken once, are
     ``mub``'s own and so skip the state and ensemble checks."""
     rows = zip(outcomes, _mub._member_rows(d, 0, outcomes), _mub._member_rows(d, 1, outcomes))
     return [
-        certainty_operator(_equal_ensemble(d, [(f"z:{i}", projector(u)), (f"0:{i}", projector(v))]))
+        certainty_operator(_equal_ensemble(d, [(f"z:{i}", _outer(u)), (f"0:{i}", _outer(v))]))
         for i, u, v in rows
     ]
 

@@ -12,7 +12,10 @@ a single table of the d roots w^e / sqrt(d), stored twice over, looked up at
 d + (k l^2 mod d) - (2 j l mod d): the exponent as the difference of its two
 reduced terms, which lies in 1..2d-1 and needs no modulo of its own. So large
 indices never accumulate angle error, and a vector has the same bytes
-whichever function builds it.
+whichever function builds it. The roots table and the two (d, d) tables of
+reduced terms are built once per d, at import, and kept read-only
+(``_TABLES``); every function that builds rows indexes them, and a family is
+filled from them a block of bases at a time.
 
 For d = 2 the quadratic phase degenerates (the -2jl term vanishes mod 2), so
 there is no quadratic family and ``mub_family(2)`` is rejected. The pair of
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,28 +126,31 @@ _TERM = np.int16
 def _phase_terms(d: int, j):
     """The two reduced terms of the exponent k*l^2 - 2*j*l of vector j (an int,
     or a 1-d array of ints for several rows): l^2 mod d and 2*j*l mod d. Neither
-    depends on the basis k, so a family takes them once."""
+    depends on the basis k, so ``_build_tables`` takes them once per d."""
     l = np.arange(d, dtype=_TERM)
     return l * l % d, 2 * np.asarray(j, dtype=_TERM)[..., None] * l % d
 
 
-def _lookup(d: int, k, j) -> tuple:
-    """What ``_quadratic_rows`` reads for rows j (an int or a 1-d int array) of
-    basis k: the doubled roots table, k*l^2 mod d (one row, or a (d, d) table
-    over k when k is an array) and the offsets d - (2*j*l mod d). Both index
-    parts and their sum, at most 2d - 1, fit uint8: a family's two tables
-    take 2 d^2 bytes, which keeps a warm ``verify_mub`` of d = 61 below
-    128 KiB of working memory."""
-    square, linear = _phase_terms(d, j)
-    shifts = np.asarray(k, dtype=_TERM)[..., None] * square % d
-    return _roots(d), shifts.astype(np.uint8), (d - linear).astype(np.uint8)
+def _build_tables(d: int) -> tuple:
+    """What ``_quadratic_rows`` reads at d, made read-only: the doubled roots
+    table, the (d, d) table of k*l^2 mod d (row k) and that of the offsets
+    d - (2*j*l mod d) (row j). Both index parts and their sum, at most
+    2d - 1, fit uint8, so each table takes d^2 bytes."""
+    square, linear = _phase_terms(d, np.arange(d))
+    shifts = np.arange(d, dtype=_TERM)[:, None] * square % d
+    tables = _roots(d), shifts.astype(np.uint8), (d - linear).astype(np.uint8)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _quadratic_rows(roots: np.ndarray, shift, offsets, out=None, index=None) -> np.ndarray:
-    """The rows of a basis from ``_lookup``'s parts, with ``shift`` that basis's
-    k*l^2 mod d, written to ``out`` if given; ``index``, if given, is a reused
-    intp buffer of the offsets' shape. The index d + (k*l^2 mod d) - (2*j*l mod d)
-    lies in 1..2d-1, where the doubled table holds w^(k*l^2 - 2*j*l) / sqrt(d)."""
+    """Rows from the parts of ``_build_tables``: ``offsets`` holds rows j of
+    the offsets table and ``shift`` row k of the k*l^2 table, or a (b, 1, d)
+    block of its rows for b bases at once; written to ``out`` if given.
+    ``index``, if given, is a reused intp buffer of the shape of their sum.
+    The index d + (k*l^2 mod d) - (2*j*l mod d) lies in 1..2d-1, where the
+    doubled table holds w^(k*l^2 - 2*j*l) / sqrt(d)."""
     index = np.add(offsets, shift, out=index)
     # the index is in range; "clip" lets take write to out unbuffered
     return roots.take(index, out=out, mode="clip")
@@ -156,7 +163,8 @@ def _member_rows(d: int, i: int, j) -> np.ndarray:
         return _qubit.pauli_eigenbasis("z" if i == 0 else "x")[j]
     if i == 0:
         return np.eye(d, dtype=complex)[j]
-    return _quadratic_rows(*_lookup(d, i - 1, j))
+    roots, shifts, offsets = _TABLES[d]
+    return _quadratic_rows(roots, shifts[i - 1], offsets[j])
 
 
 def outcome_index(d: int, j) -> int:
@@ -194,14 +202,16 @@ def mub_vector(d: int, k: int, j: int) -> np.ndarray:
     d = _check_dim(d)
     k = _check_basis_index(d, k)
     j = outcome_index(d, j)
-    return _quadratic_rows(*_lookup(d, k, j))
+    roots, shifts, offsets = _TABLES[d]
+    return _quadratic_rows(roots, shifts[k], offsets[j])
 
 
 def quadratic_basis(d: int, k: int) -> np.ndarray:
     """All d vectors of quadratic-phase basis k, stacked as rows."""
     d = _check_dim(d)
     k = _check_basis_index(d, k)
-    return _quadratic_rows(*_lookup(d, k, np.arange(d)))
+    roots, shifts, offsets = _TABLES[d]
+    return _quadratic_rows(roots, shifts[k], offsets)
 
 
 @dataclass(frozen=True)
@@ -232,24 +242,33 @@ class MubFamily:
 #: alive, keyed by ``id``; an entry leaves when its array is collected.
 _BUILT = weakref.WeakValueDictionary()
 
+#: Bytes of the intp index buffer through which ``mub_family`` fills a block of bases.
+_FILL_INDEX_BYTES = 64 * 1024
+
 
 def mub_family(d: int) -> MubFamily:
     """Computational basis plus the d quadratic-phase bases.
 
-    Filled one basis at a time, in place, from one ``_lookup`` and one reused
-    index buffer, so temporaries stay O(d^2). The owner of the filled array
-    is then made read-only, and ``bases`` is a view of it, so a write into
-    ``bases`` raises and so does ``bases.setflags(write=True)``. That view is
+    Filled in place from the tables that ``_TABLES`` holds for d, a block of
+    bases at a time: one ``_quadratic_rows`` call per block, through one
+    reused intp index buffer of at most ``_FILL_INDEX_BYTES`` (2 bases a
+    block at d = 61, 8 at d = 31, the whole family up to d = 19), so
+    temporaries stay O(d^2). The owner of the filled array is then made
+    read-only, and ``bases`` is a view of it, so a write into ``bases``
+    raises and so does ``bases.setflags(write=True)``. That view is
     recorded, and ``verify_mub`` trusts it by identity (see there); a copy
     of it is an ordinary, writeable array.
     """
     d = _check_dim(d)
     owner = np.empty((d + 1, d, d), dtype=complex)
     owner[0] = np.eye(d, dtype=complex)
-    roots, shifts, offsets = _lookup(d, np.arange(d), np.arange(d))
-    index = np.empty((d, d), dtype=np.intp)
-    for k in range(d):
-        _quadratic_rows(roots, shifts[k], offsets, out=owner[1 + k], index=index)
+    roots, shifts, offsets = _TABLES[d]
+    block = min(d, max(1, _FILL_INDEX_BYTES // (d * d * np.dtype(np.intp).itemsize)))
+    index = np.empty((block, d, d), dtype=np.intp)
+    for start in range(0, d, block):
+        stop = min(start + block, d)
+        out = owner[1 + start : 1 + stop]
+        _quadratic_rows(roots, shifts[start:stop, None], offsets, out=out, index=index[: stop - start])
     owner.setflags(write=False)
     bases = owner.view()
     _BUILT[id(bases)] = bases
@@ -335,14 +354,14 @@ def _is_built(bases) -> bool:
 def _is_own_family(bases: np.ndarray, d: int) -> bool:
     """Whether ``bases``, a (d+1, d, d) array, has the bits of
     ``mub_family(d).bases`` (and so finite entries). Each basis is rebuilt in
-    turn into one reused (d, d) buffer and compared through int64 views into
-    one reused bool buffer, so the check stops at the first basis that
-    differs and never holds a second family."""
+    turn from the tables of d into one reused (d, d) buffer and compared
+    through int64 views into one reused bool buffer, so the check stops at
+    the first basis that differs and never holds a second family."""
     if bases.dtype != np.complex128 or not bases.flags.c_contiguous:
         return False
-    if d % 2 == 0 or d > MAX_DIM or not is_prime(d):
+    if d not in _TABLES:  # an odd prime up to MAX_DIM
         return False
-    roots, shifts, offsets = _lookup(d, np.arange(d), np.arange(d))
+    roots, shifts, offsets = _TABLES[d]
     index = np.empty((d, d), dtype=np.intp)
     bits = bases.view(np.int64)
     buffer = np.eye(d, dtype=complex)
@@ -489,3 +508,13 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
         # NaN <= tol is False, so a NaN deviation, which is never the worst, fails
         passed=bool(scan.orth_top <= tol and scan.unb_top <= tol),
     )
+
+
+#: ``_build_tables(d)`` of every odd prime d up to ``MAX_DIM``, about 60 KB in
+#: all, built at import in about 0.4 ms. Built lazily, each would be a small
+#: long-lived allocation made among a caller's large short-lived ones (the
+#: families), where it splits the space they free: a run of families of
+#: rising d then needs about one family more of heap. Built last in the
+#: module: built before ``_quadratic_rows``, the same tables shifted the heap
+#: layout enough to cost ``scan-d31`` about 10 % of its throughput.
+_TABLES = MappingProxyType({d: _build_tables(d) for d in range(3, MAX_DIM + 1, 2) if is_prime(d)})

@@ -232,7 +232,7 @@ def count_calls(monkeypatch, module, name):
 def test_components_are_built_by_the_certainty_operator_from_projectors(monkeypatch, d):
     expected = [rho.tobytes() for rho in component_states(d)]
     operators = count_calls(monkeypatch, cycle, "certainty_operator")
-    projectors = count_calls(monkeypatch, cycle, "projector")
+    projectors = count_calls(monkeypatch, cycle, "_outer")
     assert [rho.tobytes() for rho in component_states(d)] == expected
     assert (len(operators), len(projectors)) == (d, 2 * d)
     # one component alone builds one operator
