@@ -339,40 +339,16 @@ class _Scan:
 
 
 #: The scan of the package's own family of each d that a caller has verified,
-#: filled from a trusted or recognised family after the scan has run once: at
-#: most one entry per odd prime up to ``MAX_DIM``, 17 in all.
+#: filled from a trusted family after the scan has run once: at most one entry
+#: per odd prime up to ``MAX_DIM``, 17 in all.
 _VERIFIED: dict = {}
 
 
 def _is_built(bases) -> bool:
     """Whether ``bases`` is the very array that ``mub_family`` returned, still
     alive, with it and its owner still read-only: then it holds the bits it
-    was built with, which ``_is_own_family`` would only confirm."""
+    was built with, which are finite and complex128."""
     return _BUILT.get(id(bases)) is bases and not (bases.flags.writeable or bases.base.flags.writeable)
-
-
-def _is_own_family(bases: np.ndarray, d: int) -> bool:
-    """Whether ``bases``, a (d+1, d, d) array, has the bits of
-    ``mub_family(d).bases`` (and so finite entries). Each basis is rebuilt in
-    turn from the tables of d into one reused (d, d) buffer and compared
-    through int64 views into one reused bool buffer, so the check stops at
-    the first basis that differs and never holds a second family."""
-    if bases.dtype != np.complex128 or not bases.flags.c_contiguous:
-        return False
-    if d not in _TABLES:  # an odd prime up to MAX_DIM
-        return False
-    roots, shifts, offsets = _TABLES[d]
-    index = np.empty((d, d), dtype=np.intp)
-    bits = bases.view(np.int64)
-    buffer = np.eye(d, dtype=complex)
-    differs = np.empty((d, 2 * d), dtype=bool)
-    if np.not_equal(bits[0], buffer.view(np.int64), out=differs).any():
-        return False
-    for k in range(d):
-        _quadratic_rows(roots, shifts[k], offsets, out=buffer, index=index)
-        if np.not_equal(bits[1 + k], buffer.view(np.int64), out=differs).any():
-            return False
-    return True
 
 
 def _scan(bases: np.ndarray, d: int) -> _Scan:
@@ -458,23 +434,17 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     The package's own family is scanned once per process per d. A family
     that ``mub_family`` returned is trusted by identity: its ``bases`` is
     the very read-only view it recorded, still alive, and that view and its
-    owner are still read-only, so it holds the bits it was built with. Any
-    other array (a copy, a pickled or ``dataclasses.replace``d family with
-    new bases, a view whose owner was made writeable) is recognised by its
-    exact bits, before the check for NaN and Inf, which those bits pass: a
-    complex128, C-ordered family of an odd prime d whose basis 0 is the
-    identity and whose every basis k has the bits of quadratic basis k,
-    rebuilt one basis at a time into one reused (d, d) buffer. A caller who
-    makes the owner writeable, writes through it and makes it read-only
-    again is not detected; that takes a deliberate write through
+    owner are still read-only, so it holds the bits it was built with. A
+    caller who makes the owner writeable, writes through it and makes it
+    read-only again is not detected; that takes a deliberate write through
     ``bases.base``. The deviations, worst places and maxima of the first
-    scan are kept, and ``passed`` is decided again for each ``tol``. Any
-    other family, one ulp off, complex64, real or reordered, is checked for
-    NaN and Inf and scanned in full. At d = 61 a first call takes about
-    100-150 ms. A later call on a trusted family takes about 5 us at any d,
-    with no basis built and no product formed; a later call that
-    recognises the bits takes about 0.85 ms at d = 61 (0.21 ms at d = 31,
-    0.04 ms at d = 3), nearly all of it the recognition.
+    scan of a trusted family are kept, and ``passed`` is decided again for
+    each ``tol``. Every other array, a copy, a pickled or
+    ``dataclasses.replace``d family with new bases or a view whose owner was
+    made writeable, is checked for NaN and Inf and scanned in full, and
+    gets the report that the trusted family gets. At d = 61 a scan takes
+    about 100-150 ms; a later call on a trusted family takes about 5 us at
+    any d, with no basis built and no product formed.
     Each CLI command is its own process, so ``finecert mub d --verify``
     always scans.
     """
@@ -486,8 +456,7 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     if shape != (d + 1, d, d):
         raise ValueError(f"family bases have shape {shape}, expected {(d + 1, d, d)}")
     bases = np.asarray(family.bases)
-    # the package's own bits are finite and complex128
-    own = _is_built(bases) or _is_own_family(bases, d)
+    own = _is_built(bases)  # then finite and complex128
     if not own:  # read in the dtype of every product
         bases = _finite(bases, np.result_type(bases, 1.0), "family bases contain NaN or Inf entries")
     scan = _VERIFIED.get(d) if own else None

@@ -1,4 +1,5 @@
-"""Which submodules a CLI command loads, and the package's public names.
+"""Which submodules a CLI command loads, the package's public names, and the
+third-party packages that the source and tests may import.
 
 ``import finecert`` loads no submodule; a public name is resolved, and its
 submodule loaded, on first use. Each CLI command loads only the submodules
@@ -6,6 +7,7 @@ it calls. The subprocess checks run the command as ``python -m finecert``
 does and record the ``finecert.*`` entries of ``sys.modules`` at exit.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +19,7 @@ import pytest
 import finecert
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(finecert.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 #: The names ``finecert/__init__.py`` imported eagerly from each submodule.
 EXPORTS = {
@@ -172,3 +175,38 @@ def test_unknown_name_raises_attribute_error():
         finecert.no_such_name
     assert not hasattr(finecert, "_EXPORTS_TYPO")
     assert finecert.__version__ == "0.1.0"
+
+
+#: Installed in some environments but declared by no dependency in
+#: ``pyproject.toml``, so an import of either fails on a clean install.
+UNDECLARED = {"scipy", "sympy"}
+
+
+def imported_packages(path: str) -> set:
+    """The top-level names of the absolute imports in the file at ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def python_files(*roots: str) -> list:
+    return sorted(
+        os.path.join(folder, name)
+        for root in roots
+        for folder, _, files in os.walk(root)
+        for name in files
+        if name.endswith(".py")
+    )
+
+
+def test_no_source_or_test_file_imports_an_undeclared_package():
+    files = python_files(os.path.join(SRC, "finecert"), TESTS)
+    assert os.path.join(TESTS, "test_references.py") in files
+    found = {path: sorted(imported_packages(path) & UNDECLARED) for path in files}
+    assert {path: names for path, names in found.items() if names} == {}

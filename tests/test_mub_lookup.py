@@ -1,14 +1,12 @@
-"""One exponent rule for every MUB amplitude, and recognition before the
-finiteness check.
+"""One exponent rule for every MUB amplitude, and the finiteness check for
+every family that ``mub_family`` did not return.
 
 Every quadratic-phase amplitude is entry d + (k l^2 mod d) - (2 j l mod d) of
 the doubled roots table, an index that always lies in 1..2d-1. Each entry
-point that builds rows (``mub_family``, ``quadratic_basis``, ``mub_vector``,
-``_member_rows`` and the buffer that ``verify_mub``'s recognition rebuilds)
-must give the bytes of ``roots[(k l^2 - 2 j l) % d]``, the single-period
-table indexed by the exponent reduced once. ``verify_mub`` recognises the
-package's own family before it checks for NaN and Inf; a family that is the
-package's own up to one non-finite entry in its last place must still be
+point that builds rows (``mub_family``, ``quadratic_basis``, ``mub_vector``
+and ``_member_rows``) must give the bytes of ``roots[(k l^2 - 2 j l) % d]``,
+the single-period table indexed by the exponent reduced once. A family that
+is the package's own up to one non-finite entry in its last place must be
 rejected with the finiteness message.
 """
 
@@ -74,10 +72,8 @@ def test_every_entry_point_looks_up_the_reduced_exponent(built, d):
             assert mub.mub_vector(d, k, j).tobytes() == expected[k, j].tobytes()
             assert mub._member_rows(d, 1 + k, j).tobytes() == expected[k, j].tobytes()
 
-    # recognition rebuilds each basis in turn into its one buffer
-    built.clear()
-    assert mub._is_own_family(family.bases, d)
-    assert np.stack(built).tobytes() == expected.tobytes()
+    # basis 0 is the identity, so the whole family is the reference behind it
+    assert family.bases.tobytes() == np.concatenate((np.eye(d, dtype=complex)[None], expected)).tobytes()
 
 
 NON_FINITE = {
@@ -91,13 +87,12 @@ NON_FINITE = {
 @pytest.mark.parametrize("d", [5, 61])
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_a_non_finite_last_entry_is_still_rejected(d, bad):
-    # the family is the package's own up to its very last entry, so recognition
-    # reaches its final basis before it declines the family
-    verify_mub(mub_family(d))  # a kept scan of d must not hide the entry either
+    # the family is the package's own up to its very last entry
+    verify_mub(mub_family(d))  # a kept scan of d must not hide the entry
     bases = mub_family(d).bases.copy()
     bases[-1, -1, -1] = NON_FINITE[bad]
     assert bases.dtype == np.complex128 and bases.flags.c_contiguous
-    assert not mub._is_own_family(bases, d)
+    assert bases.reshape(-1)[:-1].tobytes() == mub_family(d).bases.reshape(-1)[:-1].tobytes()
     with pytest.raises(ValueError, match=f"^{re.escape('family bases contain NaN or Inf entries')}$"):
         verify_mub(MubFamily(d=d, bases=bases))
 
@@ -111,7 +106,7 @@ def tracemalloc_peak(call):
         tracemalloc.stop()
 
 
-def test_building_and_recognising_a_family_hold_no_table_of_bases():
+def test_building_and_verifying_a_family_hold_no_table_of_bases():
     # an O(d^3) index table, a second family or a kept family would each cost
     # about 1.8 MB or more at d = 61
     family = mub_family(61)

@@ -1,11 +1,12 @@
 """``verify_mub`` trusts the read-only family that ``mub_family`` built.
 
 ``mub_family`` returns its bases as a read-only view of a read-only owner and
-records that view. ``verify_mub`` skips the bit recognition for a recorded
-view while it and its owner stay read-only; every other array (a copy, a
-pickled or replaced family, a view whose owner was made writeable) goes
-through the recognition or the full scan. ``reference_verify`` (from
-``test_verify_blocks``) is the pair-by-pair scan that every report is held to.
+records that view. ``verify_mub`` trusts a recorded view while it and its
+owner stay read-only, and keeps its scan; every other array (a copy, a
+pickled or replaced family, a view whose owner was made writeable) is
+scanned in full, gets the same report and leaves the kept scan alone.
+``reference_verify`` (from ``test_verify_blocks``) is the pair-by-pair scan
+that every report is held to.
 """
 
 import dataclasses
@@ -32,14 +33,13 @@ def cold_scan():
 
 @contextmanager
 def spies():
-    """Spies on ``np.matmul`` (only the scan calls it), ``_quadratic_rows``
-    (each basis built) and ``_is_own_family`` (the bit recognition)."""
+    """Spies on ``np.matmul`` (only the scan calls it) and ``_quadratic_rows``
+    (each basis built)."""
     with (
         mock.patch.object(np, "matmul", wraps=np.matmul) as matmul,
         mock.patch.object(mub, "_quadratic_rows", wraps=mub._quadratic_rows) as rows,
-        mock.patch.object(mub, "_is_own_family", wraps=mub._is_own_family) as recognise,
     ):
-        yield matmul, rows, recognise
+        yield matmul, rows
 
 
 @pytest.mark.parametrize("d", [3, 31, 61])
@@ -59,14 +59,14 @@ def test_the_bases_and_their_owner_are_read_only(d):
 @pytest.mark.parametrize("d", [3, 31, 61])
 def test_a_warm_call_on_a_built_family_builds_no_basis_and_forms_no_product(d):
     family = mub_family(d)
-    with spies() as (matmul, rows, recognise):
+    with spies() as (matmul, rows):
         cold = verify_mub(family)
-        # the first call scans, but does not rebuild the family to recognise it
+        # the first call scans, but builds no basis
         assert matmul.call_count > 0
-        assert (rows.call_count, recognise.call_count) == (0, 0)
+        assert rows.call_count == 0
         matmul.reset_mock()
         warm = verify_mub(family)
-        assert (matmul.call_count, rows.call_count, recognise.call_count) == (0, 0, 0)
+        assert (matmul.call_count, rows.call_count) == (0, 0)
     assert warm == cold == reference_verify(family)
 
 
@@ -99,15 +99,24 @@ SAME_BITS = {
 
 @pytest.mark.parametrize("d", [3, 31])
 @pytest.mark.parametrize("other", SAME_BITS)
-def test_other_arrays_with_the_built_bits_are_recognised_by_their_bits(d, other):
+def test_other_arrays_with_the_built_bits_are_scanned(d, other):
+    verify_mub(mub_family(d))
+    kept = mub._VERIFIED[d]
     family = SAME_BITS[other](d)
     assert not mub._is_built(family.bases)
-    with spies() as (matmul, rows, recognise):
+    with spies() as (matmul, rows):
         report = verify_mub(family)
-    assert recognise.call_count == 1
-    assert rows.call_count == d  # one rebuilt basis per quadratic basis
+    assert matmul.call_count > 0
+    assert rows.call_count == 0
     assert report == reference_verify(family)
-    assert set(mub._VERIFIED) == {d}
+    assert mub._VERIFIED == {d: kept} and mub._VERIFIED[d] is kept
+
+
+@pytest.mark.parametrize("d", [3, 31, 61])
+def test_a_copy_gets_the_report_of_the_built_family(d):
+    family = mub_family(d)
+    copy = MubFamily(d=d, bases=family.bases.copy())
+    assert verify_mub(copy).as_dict() == verify_mub(family).as_dict()
 
 
 @pytest.mark.parametrize("d", [3, 31])

@@ -1,11 +1,11 @@
 """``verify_mub`` scans the package's own family once per d and keeps the result.
 
-The family is recognised by its exact bits, one basis at a time, and the kept
-scan is the one its first call made, so a later call must return what a cold
-call returns, float for float, at every tolerance. Anything that differs from
-the family by a bit, a dtype or a row order runs the full scan and leaves the
-kept scans alone. ``reference_verify`` (from ``test_verify_blocks``) is the
-pair-by-pair scan that every report is held to.
+A family that ``mub_family`` built is trusted by identity, and the kept scan
+is the one its first call made, so a later call must return what a cold call
+returns, float for float, at every tolerance. Any other array, whether it has
+the family's bits or differs from them by a bit, a dtype or a row order, runs
+the full scan and leaves the kept scans alone. ``reference_verify`` (from
+``test_verify_blocks``) is the pair-by-pair scan that every report is held to.
 """
 
 import tracemalloc
@@ -46,7 +46,7 @@ def test_warm_equals_cold_equals_the_pair_scan(d):
     family = mub_family(d)
     cold = verify_mub(family)
     assert set(mub._VERIFIED) == {d}
-    warm = verify_mub(mub_family(d))  # a fresh family with the same bits
+    warm = verify_mub(mub_family(d))  # a fresh built family, trusted in turn
     assert warm == cold == reference_verify(family)
 
 
@@ -142,17 +142,20 @@ def test_the_memo_holds_at_most_one_scan_per_odd_prime():
     assert len(mub._VERIFIED) == 17
 
 
-def test_a_family_built_another_way_is_recognised_by_its_bits():
+def test_a_family_built_another_way_is_scanned():
     d = 11
     bases = np.stack([mub.computational_basis(d)] + [mub.quadratic_basis(d, k) for k in range(d)])
+    assert bases.tobytes() == mub_family(d).bases.tobytes()
     verify_mub(mub_family(d))
+    kept = mub._VERIFIED[d]
     with matmul_spy() as spy:
         report = verify_mub(MubFamily(d=d, bases=bases))
-    assert spy.call_count == 0
+    assert spy.call_count > 0
     assert report == reference_verify(MubFamily(d=d, bases=bases))
+    assert mub._VERIFIED == {d: kept} and mub._VERIFIED[d] is kept
 
 
 def test_working_memory_of_a_cold_and_a_warm_call():
     family = mub_family(61)
-    assert tracemalloc_peak(lambda: verify_mub(family)) < 2 << 20  # the scan, recognition included
-    assert tracemalloc_peak(lambda: verify_mub(family)) < 256 << 10  # recognition alone
+    assert tracemalloc_peak(lambda: verify_mub(family)) < 2 << 20  # the scan
+    assert tracemalloc_peak(lambda: verify_mub(family)) < 256 << 10  # the kept scan
