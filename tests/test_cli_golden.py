@@ -49,3 +49,16 @@ def test_cli_output_matches_golden_hash(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[argv]
+
+
+#: The scan-d31 operation, whose residual depends on memory layout at d >= 13;
+#: recorded before the sampler left ``cycle``.
+SCAN_D31 = ("cycle", "--d", "31", "--samples", "3", "--seed", "1", "--per-sample")
+
+
+def test_scan_d31_output_matches_golden_hash(capsys):
+    assert main(list(SCAN_D31)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f63aa61cf8caad60395af3ae80d2ea2876cf971ac6c71288e7a3dcaaf4cb1f1"
+    )

@@ -194,6 +194,57 @@ def test_scan_golden_d31():
     assert abs(report.max_singleton_excess - -0.44160386036915855) <= TOL
 
 
+#: The exact reports of two scans at d >= 13, where the binary-entropy sum's
+#: bits depend on memory layout; recorded before the sampler left ``cycle``.
+SCAN_BITS = {
+    (31, 3, 1, True): {
+        "d": 31, "seed": 1, "n_samples": 3, "layout": "paper", "zeta": 0.5898026510133875,
+        "delta_w_min": 0.7763257492879916, "delta_w_max": 0.784976153997559,
+        "delta_w_mean": 0.7811990377516352,
+        "histogram": {
+            "counts": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+            "edges": [
+                0.7763257492879916, 0.7767582695234699, 0.7771907897589483, 0.7776233099944267,
+                0.7780558302299051, 0.7784883504653834, 0.7789208707008618, 0.7793533909363402,
+                0.7797859111718186, 0.780218431407297, 0.7806509516427753, 0.7810834718782537,
+                0.781515992113732, 0.7819485123492105, 0.7823810325846888, 0.7828135528201672,
+                0.7832460730556455, 0.7836785932911239, 0.7841111135266023, 0.7845436337620807,
+                0.784976153997559,
+            ],
+        },
+        "max_consistency_residual": 1.5210055437364645e-14,
+        "max_singleton_excess": -0.4416038603691583,
+        "n_in_window": 0, "in_window_delta_w_max": None, "outside_window_indices": [0, 1, 2],
+        "per_sample_delta_w": [0.7763257492879916, 0.7822952099693552, 0.784976153997559],
+    },
+    (13, 3, 1, False): {
+        "d": 13, "seed": 1, "n_samples": 3, "layout": "paper", "zeta": 0.6386750490563073,
+        "delta_w_min": 0.5639203351698088, "delta_w_max": 0.6000057611190472,
+        "delta_w_mean": 0.5786972046323772,
+        "histogram": {
+            "counts": [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            "edges": [
+                0.5639203351698088, 0.5657246064672707, 0.5675288777647326, 0.5693331490621946,
+                0.5711374203596564, 0.5729416916571184, 0.5747459629545804, 0.5765502342520422,
+                0.5783545055495042, 0.580158776846966, 0.581963048144428, 0.58376731944189,
+                0.5855715907393518, 0.5873758620368138, 0.5891801333342757, 0.5909844046317376,
+                0.5927886759291996, 0.5945929472266615, 0.5963972185241234, 0.5982014898215853,
+                0.6000057611190472,
+            ],
+        },
+        "max_consistency_residual": 7.993605777301127e-15,
+        "max_singleton_excess": -0.4887461099879445,
+        "n_in_window": 0, "in_window_delta_w_max": None, "outside_window_indices": [0, 1, 2],
+        "per_sample_delta_w": None,
+    },
+}
+
+
+@pytest.mark.parametrize("d, n, seed, keep", sorted(SCAN_BITS))
+def test_scan_report_bits_at_large_d(d, n, seed, keep):
+    assert scan_bases(d, n, seed, keep_samples=keep).as_dict() == SCAN_BITS[(d, n, seed, keep)]
+
+
 def test_scan_across_chunk_boundary_d31():
     n = cycle._chunk_samples(31) + 2
     scan = scan_bases(31, n, seed=3, keep_samples=True)
