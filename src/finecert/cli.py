@@ -13,14 +13,15 @@ A MUB family holds about d + 2 distinct amplitudes; `mub 61 --verify` prints
 10 MB (README times its stages). Each command imports only the submodules it
 calls. Payloads go to stdout, diagnostics to stderr.
 
-Exit status: 0 when a payload was produced, 2 for usage errors (unknown or
-conflicting flags), 3 for invalid parameter values or configurations.
+Exit status: 0 payload produced, 2 usage error (unknown or conflicting flags),
+3 invalid parameter value or configuration, 141 (128 + SIGPIPE) stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .numerics import MAX_DIM, MAX_SCAN_SAMPLES, ROUNDOFF_TOL, check_index
 
 USAGE_ERROR = 2
 INVALID_PARAMETER = 3
+STDOUT_CLOSED = 141
 
 #: Characters handed to stdout per write. The text is encoded a slice at a
 #: time, so the 10 MB of `mub 61 --verify` is never encoded as a second copy;
@@ -42,8 +44,8 @@ _WRITE_SLICE = 1 << 16
 MAX_ALPHA_STEPS = 10**5
 
 _EPILOG = (
-    f"exit status: 0 = payload produced, {USAGE_ERROR} = usage error, "
-    f"{INVALID_PARAMETER} = invalid parameter or configuration"
+    f"exit status: 0 = payload produced, {USAGE_ERROR} = usage error, {INVALID_PARAMETER} = "
+    f"invalid parameter or configuration, {STDOUT_CLOSED} = stdout closed"
 )
 
 
@@ -468,9 +470,15 @@ def main(argv=None) -> int:
         print(f"finecert {args.command}: {exc}", file=sys.stderr)
         return INVALID_PARAMETER
     write = sys.stdout.write
-    for lo in range(0, len(text), _WRITE_SLICE):
-        write(text[lo : lo + _WRITE_SLICE])
-    write("\n")
+    last = (len(text) - 1) // _WRITE_SLICE * _WRITE_SLICE  # the newline goes with the last slice
+    try:
+        for lo in range(0, last, _WRITE_SLICE):
+            write(text[lo : lo + _WRITE_SLICE])
+        write(text[last:] + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: the flush at exit must not write to it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
     return 0
 
 

@@ -159,6 +159,14 @@ def hermitian_eig(m) -> SpectralDecomposition:
     return SpectralDecomposition(values=values, vectors=vectors)
 
 
+def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
+    """The basis (rows), if max |B B^dag - I| <= ``ROUNDOFF_TOL``; NaN fails."""
+    deviation = float(np.abs(basis @ basis.conj().T - np.eye(len(basis))).max())
+    if not deviation <= ROUNDOFF_TOL:
+        raise ValueError(f"membrane basis not orthonormal: deviation {deviation:.3e}")
+    return basis
+
+
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first amplitude of modulus above 1e-12 is real >= 0."""
     for a in psi:

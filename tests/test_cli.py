@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from finecert.cli import MAX_ALPHA_STEPS, main, render_json
+import finecert
+from finecert.cli import MAX_ALPHA_STEPS, STDOUT_CLOSED, main, render_json
 from finecert.cycle import MAX_SCAN_SAMPLES
 from finecert.numerics import MAX_DIM
 
@@ -322,8 +326,9 @@ def help_text(capsys, *command):
         (["bound"], f"unbiased-basis pair in prime dimension d, at most {MAX_DIM}"),
         (["cycle"], f"prime dimension, at most {MAX_DIM}"),
         (["cycle"], f"number of random bases, at most {MAX_SCAN_SAMPLES}"),
+        (["mub"], f"{STDOUT_CLOSED} = stdout closed"),
     ],
-    ids=["mub-d", "bound-d", "cycle-d", "cycle-samples"],
+    ids=["mub-d", "bound-d", "cycle-d", "cycle-samples", "stdout-closed"],
 )
 def test_help_names_each_cap(capsys, command, phrase):
     assert phrase in help_text(capsys, *command)
@@ -346,3 +351,44 @@ def test_one_past_each_cap_exits_3_at_once(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith(f"finecert {argv[0]}: ") and err.count("\n") == 1
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(finecert.__file__)))
+
+
+def read_and_close(argv, size, unbuffered):
+    """Exit status, stdout read and stderr of ``python -m finecert argv`` whose
+    stdout reader closes after ``size`` bytes, as ``head -c size`` does."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finecert", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+    )
+    os.close(write_end)
+    try:
+        head = b""
+        while len(head) < size and (chunk := os.read(read_end, size - len(head))):
+            head += chunk
+    finally:
+        os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, head, err
+
+
+@pytest.mark.parametrize(
+    "argv, size, code",
+    [
+        (("mub", "61", "--verify"), 100, STDOUT_CLOSED),  # 10 MB: the pipe fills and then breaks
+        (("bound", "--pauli-triple"), 100, 0),  # 448 bytes, written in one piece before the reader closes
+        # nothing written: the payload stays buffered, and the flush at exit must not raise
+        (("bound", "--pauli-triple"), 0, STDOUT_CLOSED),
+    ],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_early_gets_one_status_and_no_traceback(argv, size, code, unbuffered):
+    status, head, err = read_and_close(argv, size, unbuffered)
+    assert (status, err) == (code, b"")
+    assert len(head) == size and b'{"command": "'.startswith(head[:13])

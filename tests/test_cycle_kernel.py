@@ -3,13 +3,14 @@
 Every cycle evaluation (``delta_w`` and ``scan_bases``) runs through one
 batched kernel. These tests re-derive each reported quantity sample by
 sample with plain numpy, pin two scans to values recorded from the earlier
-per-sample implementation, and check that chunked scans match unchunked ones.
+per-sample implementation and two more at d >= 13 to their exact reports,
+and check that chunked scans match unchunked ones.
 """
 
 import numpy as np
 import pytest
 
-from finecert import cycle
+from finecert import cycle, sampling
 from finecert.bounds import measurement_ensemble
 from finecert.cycle import (
     CycleConfig,
@@ -377,7 +378,8 @@ def test_only_a_callers_basis_is_checked(monkeypatch):
         calls.append(basis.shape)
         return check(basis)
 
-    monkeypatch.setattr(cycle, "_check_orthonormal", spy)
+    for module in (cycle, sampling):  # cycle_config's check and haar_random_basis's
+        monkeypatch.setattr(module, "_check_orthonormal", spy)
     scan_bases(3, 40, 5)
     scan_bases(5, 40, 5, layout=MembraneLayout.symmetric_preset(5))
     cycle_config(3)

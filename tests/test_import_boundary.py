@@ -3,8 +3,10 @@ third-party packages that the source and tests may import.
 
 ``import finecert`` loads no submodule; a public name is resolved, and its
 submodule loaded, on first use. Each CLI command loads only the submodules
-it calls. The subprocess checks run the command as ``python -m finecert``
-does and record the ``finecert.*`` entries of ``sys.modules`` at exit.
+it calls, and only a command that draws a random basis imports
+``numpy.random``. The subprocess checks run the command as
+``python -m finecert`` does and record the ``finecert.*`` and
+``numpy.random`` entries of ``sys.modules`` at exit.
 """
 
 import ast
@@ -99,7 +101,7 @@ try:
     runpy.run_module("finecert", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-loaded = sorted(m for m in sys.modules if m.startswith("finecert."))
+loaded = sorted(m for m in sys.modules if m.startswith("finecert.") or m == "numpy.random")
 sys.stderr.write(json.dumps({"code": code, "loaded": loaded}) + "\\n")
 """
 
@@ -122,10 +124,11 @@ def loaded_by(*argv: str) -> set:
 @pytest.mark.parametrize(
     "argv, needed, absent",
     [
-        (("mub", "3"), {"cli", "numerics", "qubit", "mub"}, {"bounds", "cycle"}),
-        (("bound", "--pauli-triple"), {"cli", "qubit", "mub", "bounds"}, {"cycle"}),
+        (("mub", "3"), {"cli", "numerics", "qubit", "mub"}, {"bounds", "cycle", "sampling"}),
+        (("bound", "--pauli-triple"), {"cli", "qubit", "mub", "bounds"}, {"cycle", "sampling"}),
         (("scan-alpha", "--steps", "3"), {"cli", "numerics", "qubit"}, {"mub", "bounds", "cycle"}),
-        (("cycle", "--d", "3"), {"cli", "mub", "bounds", "cycle"}, set()),
+        (("cycle", "--d", "3"), {"cli", "mub", "bounds", "cycle", "sampling"}, {"numpy.random"}),
+        (("cycle", "--d", "3", "--samples", "4"), {"cycle", "sampling", "numpy.random"}, set()),
     ],
 )
 def test_command_loads_only_what_it_calls(argv, needed, absent):

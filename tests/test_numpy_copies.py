@@ -8,7 +8,7 @@ numpy's bits:
 - ``bounds.zeta_gridsearch`` stores a block's amplitudes a column at a time
   and multiplies them into a C-order product, which keeps the bits of the
   row-major block only while BLAS reads both layouts alike;
-- ``cycle._child_states`` derives the seed words of
+- ``sampling._child_states`` derives the seed words of
   ``SeedSequence(seed).spawn(n)[i]`` without building the children;
 - ``cycle._histogram`` bins by ``np.histogram``'s documented edge rule;
 - ``cycle._outcome_probabilities`` runs one (n d x d) (d x d) GEMM per
@@ -48,7 +48,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finecert import cycle, mub, qubit
+from finecert import cycle, mub, qubit, sampling
 from finecert.numerics import _outer, projector
 from test_probability_blocks import components, haar_stack, reference_probabilities
 
@@ -59,7 +59,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 # assertion messages: the copy that failed and the numpy it was checked against
 ROW_SUMS = f"bounds._row_sums no longer follows numpy {np.__version__}"
 GRID_GEMM = f"bounds.zeta_gridsearch's column-major block no longer has the row-major bits on numpy {np.__version__}"
-CHILD_STATES = f"cycle._child_states no longer follows numpy {np.__version__}"
+CHILD_STATES = f"sampling._child_states no longer follows numpy {np.__version__}"
 HISTOGRAM = f"cycle._histogram no longer follows numpy {np.__version__}"
 PROBABILITIES = f"cycle._outcome_probabilities no longer matches a product per component on numpy {np.__version__}"
 OVERLAPS = f"mub.verify_mub's tall overlap product no longer matches a product per pair on numpy {np.__version__}"
@@ -110,7 +110,7 @@ def test_grid_gemm_reads_column_major_blocks_with_row_major_bits(d, rows):
     assert got.tobytes() == (amps @ op_t).tobytes(), GRID_GEMM
 
 
-# ---------------------------------------------------------------- cycle._child_states
+# ---------------------------------------------------------------- sampling._child_states
 
 
 def numpy_child_states(seed, first, count):
@@ -121,30 +121,30 @@ def numpy_child_states(seed, first, count):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**200), first=st.integers(0, 300), count=st.integers(1, 40))
 def test_child_states_equal_spawned_seed_sequences(seed, first, count):
-    got = cycle._child_states(cycle._spawn_prefix(seed), first, count)
+    got = sampling._child_states(sampling._spawn_prefix(seed), first, count)
     assert got.dtype == np.uint64 and got.shape == (count, 4), CHILD_STATES
     assert np.array_equal(got, numpy_child_states(seed, first, count)), CHILD_STATES
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**128 + 7, 3**100])
 def test_child_states_at_word_boundaries(seed):
-    prefix = cycle._spawn_prefix(seed)
-    whole = cycle._child_states(prefix, 0, 70)
+    prefix = sampling._spawn_prefix(seed)
+    whole = sampling._child_states(prefix, 0, 70)
     assert np.array_equal(whole, numpy_child_states(seed, 0, 70)), CHILD_STATES
-    split = np.concatenate([cycle._child_states(prefix, 0, 33), cycle._child_states(prefix, 33, 37)])
+    split = np.concatenate([sampling._child_states(prefix, 0, 33), sampling._child_states(prefix, 33, 37)])
     assert np.array_equal(split, whole), CHILD_STATES
 
 
 def test_child_seed_draws_as_default_rng():
-    words = cycle._child_states(cycle._spawn_prefix(5), 0, 3)[2]
-    derived = np.random.Generator(np.random.PCG64(cycle._child_seed_type()(words)))
+    words = sampling._child_states(sampling._spawn_prefix(5), 0, 3)[2]
+    derived = np.random.Generator(np.random.PCG64(sampling._child_seed_type()(words)))
     spawned = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
     assert np.array_equal(derived.standard_normal(100), spawned.standard_normal(100)), CHILD_STATES
     assert derived.bit_generator.state == spawned.bit_generator.state, CHILD_STATES
 
 
 def test_child_seed_holds_only_pcg64_words():
-    seed = cycle._child_seed_type()(cycle._child_states(cycle._spawn_prefix(5), 0, 1)[0])
+    seed = sampling._child_seed_type()(sampling._child_states(sampling._spawn_prefix(5), 0, 1)[0])
     with pytest.raises(ValueError, match="four uint64 words"):
         seed.generate_state(8, np.uint64)
     with pytest.raises(ValueError, match="four uint64 words"):

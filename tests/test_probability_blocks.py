@@ -12,7 +12,7 @@ blocks; every case must match it in every byte.
 import numpy as np
 import pytest
 
-from finecert import cycle, mub
+from finecert import cycle, mub, sampling
 
 DIMENSIONS = [2] + [p for p in range(3, 62) if mub.is_prime(p)]
 
@@ -28,7 +28,7 @@ def reference_probabilities(bases, components):
 
 def haar_stack(d, n, seed):
     rng = np.random.default_rng([d, n, seed])
-    return cycle._bases_from_normals(rng.standard_normal((n, 2, d, d)))
+    return sampling._bases_from_normals(rng.standard_normal((n, 2, d, d)))
 
 
 def random_density_matrices(d, seed):

@@ -1,11 +1,11 @@
 """A scan's per-sample substreams, derived in bulk, and the checks before a scan.
 
-``scan_bases`` derives the PCG64 seed words of sample i without building
+``sampling.draw`` derives the PCG64 seed words of sample i without building
 ``SeedSequence(seed).spawn(n)[i]``; ``test_numpy_copies`` pins those words
 to numpy's own. These tests pin the membrane bases a cold scan draws to
-``haar_random_basis`` fed from numpy's spawned generators, and check that a
-bad sample count, a bad seed or a huge prime dimension is rejected before
-any work.
+``haar_random_basis`` fed from numpy's spawned generators, check that
+``draw`` replays any one sample of a scan, and check that a bad sample
+count, a bad seed or a huge prime dimension is rejected before any work.
 """
 
 import time
@@ -14,17 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finecert import cycle
+from finecert import cycle, sampling
 from finecert.cli import main
 from finecert.cycle import (
     MAX_SCAN_SAMPLES,
     MembraneLayout,
     cycle_config,
     delta_w,
-    haar_random_basis,
     scan_bases,
 )
 from finecert.mub import _check_dim, is_prime
+from finecert.sampling import haar_random_basis
 # collected here too, so this module keeps their test IDs
 from test_numpy_copies import (  # noqa: F401
     test_child_seed_draws_as_default_rng,
@@ -83,6 +83,21 @@ def test_cold_scan_equals_numpy_spawned_reference(monkeypatch, d, n, seed, facto
     assert report.seed == seed and type(report.seed) is int
 
 
+@pytest.mark.parametrize("d", [2, 3, 31, 61])
+@pytest.mark.parametrize("seed", [0, 2**70, 2**200])
+def test_draw_replays_one_scan_sample(d, seed):
+    chunk = cycle._chunk_samples(d)
+    n = chunk + 2
+    children = np.random.SeedSequence(seed).spawn(n)
+    whole = sampling.draw(d, seed, 0, n)
+    scan = scan_bases(d, n, seed, keep_samples=True)
+    for i in (0, chunk, n - 1):  # the first sample, the second chunk's first and the last
+        basis = sampling.draw(d, seed, i, 1)[0]
+        assert basis.tobytes() == whole[i].tobytes()
+        assert basis.tobytes() == haar_random_basis(d, np.random.default_rng(children[i])).tobytes()
+        assert abs(delta_w(cycle_config(d, basis=basis)).delta_w - scan.per_sample_delta_w[i]) <= TOL
+
+
 def test_numpy_integer_seed_gives_the_int_seed_report():
     assert scan_bases(3, 5, np.uint64(9), keep_samples=True) == scan_bases(3, 5, 9, keep_samples=True)
 
@@ -111,34 +126,33 @@ def test_sample_cap_is_checked_before_any_allocation():
         scan_bases(3, MAX_SCAN_SAMPLES + 1, 0)
 
 
-def forbid_samples(monkeypatch):
-    """Make turning drawn normals into bases, which every scan chunk does, fail."""
-
-    def no_bases(g):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(cycle, "_bases_from_normals", no_bases)
+#: Bytes of the normals of one sample at d = 61; a scan that draws one
+#: allocates them, and more, under tracemalloc.
+ONE_SAMPLE = 2 * 61 * 61 * 8
 
 
-def test_sample_spy_fires_on_a_valid_scan(monkeypatch):
-    forbid_samples(monkeypatch)
-    with pytest.raises(AssertionError, match="a sample was drawn"):
-        scan_bases(3, 4, 0)
+def test_one_drawn_sample_exceeds_the_refusal_bound():
+    scan_bases(61, 1, 0)  # the standard cycle of 61, built outside the traced call
+    assert peak_bytes(lambda: scan_bases(61, 1, 0)) > ONE_SAMPLE
 
 
 @pytest.mark.parametrize("seed", [None, -1, -(2**70), 1.5, 2.0, "3", [1, 2]])
-def test_bad_seed_is_rejected_before_any_sample(monkeypatch, seed):
-    forbid_samples(monkeypatch)
-    with pytest.raises(ValueError, match=r"seed must be a non-negative integer \(got "):
-        scan_bases(3, 4, seed)
+def test_bad_seed_is_rejected_before_any_sample(seed):
+    def call():
+        with pytest.raises(ValueError, match=r"seed must be a non-negative integer \(got "):
+            scan_bases(61, 4, seed)
+
+    assert peak_bytes(call) < ONE_SAMPLE
 
 
 @pytest.mark.parametrize("n_samples", [2.9, 3.0, "3", None])
-def test_non_integer_sample_count_is_rejected_not_truncated(monkeypatch, n_samples):
-    forbid_samples(monkeypatch)
-    with pytest.raises(ValueError) as info:
-        scan_bases(3, n_samples, 0)
-    assert str(info.value) == f"n_samples must be an integer (got {n_samples!r})"
+def test_non_integer_sample_count_is_rejected_not_truncated(n_samples):
+    def call():
+        with pytest.raises(ValueError) as info:
+            scan_bases(61, n_samples, 0)
+        assert str(info.value) == f"n_samples must be an integer (got {n_samples!r})"
+
+    assert peak_bytes(call) < ONE_SAMPLE
 
 
 def test_numpy_integer_sample_count_gives_the_int_count_report():
