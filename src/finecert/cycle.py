@@ -36,10 +36,13 @@ every s_j to show that a higher achievable bound would make delta_w positive.
 
 A single cycle and a scan run through the same batched kernel; a scan takes
 its random membrane bases from :mod:`finecert.sampling` in fixed-size chunks
-and reduces their per-sample results once. The standard cycle of each d
-(uniform priors, the standard component stack, W2, zeta, the paper layout and
-its plan) is one read-only record, built once; a layout, basis or component
-states of the caller's own are checked once, where they enter.
+and reduces their per-sample results once. The kernel writes its products
+into a workspace of the calling thread, bounded by one block of products and
+kept for the thread's life, so concurrent scans share none and a warm scan
+maps no fresh pages. The standard cycle of each d (uniform priors, the
+standard component stack, W2, zeta, the paper layout and its plan) is one
+read-only record, built once; a layout, basis or component states of the
+caller's own are checked once, where they enter.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import dataclasses
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +290,10 @@ def _component_stack(components, d: int) -> np.ndarray:
 #: forms for one block of m components.
 _PROBABILITY_BLOCK_BYTES = 256 * 1024
 
+#: Each thread's ``buffer``, the complex workspace of
+#: ``_outcome_probabilities``: it only grows, and it goes with its thread.
+_WORKSPACE = threading.local()
+
 
 def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndarray:
     """probs[k, i, j] = <e_j| rho_i |e_j> in basis k, clamped against roundoff
@@ -295,16 +303,26 @@ def _outcome_probabilities(bases: np.ndarray, components: np.ndarray) -> np.ndar
     each component costs one (n d x d) (d x d) GEMM over the whole stack. The
     components go through in blocks, as many as keep the product within
     ``_PROBABILITY_BLOCK_BYTES`` (at least one), so memory stays at O(n d^2).
-    Stacking rows leaves each element's dot product as it was, and each row
-    is summed alone, so the bits are those of one product per basis and
-    component.
+    Every block's product is written into the calling thread's workspace,
+    which holds one block, so it is bounded by the larger of the budget and
+    one component's product (at most 1 MiB for a scan chunk); it is kept for
+    the thread's life and never shared, so concurrent scans stay apart, and
+    a warm scan maps no fresh pages. Stacking rows leaves each element's dot
+    product as it was, and each row is summed alone, so the bits are those
+    of one product per basis and component.
     """
     n, d = bases.shape[0], bases.shape[1]
     probs = np.empty((n, len(components), d))
     lhs = bases.conj().reshape(n * d, d)
     block = max(1, _PROBABILITY_BLOCK_BYTES // (16 * n * d * d))
+    size = min(block, len(components)) * n * d * d
+    work = getattr(_WORKSPACE, "buffer", None)
+    if work is None or work.size < size:
+        work = _WORKSPACE.buffer = np.empty(size, dtype=complex)
+    work = work[:size].reshape(-1, n * d, d)
     for lo in range(0, len(components), block):
-        prod = np.matmul(lhs, components[lo : lo + block]).reshape(-1, n, d, d)
+        part = components[lo : lo + block]
+        prod = np.matmul(lhs, part, out=work[: len(part)]).reshape(-1, n, d, d)
         prod *= bases
         probs[:, lo : lo + block] = prod.sum(axis=-1).real.swapaxes(0, 1)
     return np.clip(probs, 0.0, 1.0, out=probs)
