@@ -25,7 +25,6 @@ _EXPORTS = {
     "mub": (
         "MubFamily",
         "MubVerification",
-        "computational_basis",
         "is_prime",
         "mub_family",
         "mub_vector",

@@ -313,7 +313,8 @@ def _cmd_scan_alpha(args):
     alphas = np.linspace(0.0, np.pi, args.steps).tolist()
     rows = []
     max_diff = 0.0
-    for alpha, (closed, quad) in zip(alphas, _qubit._average_certainties(alphas)):
+    for alpha in alphas:
+        closed, quad = _qubit.average_certainty(alpha)
         rows.append([alpha, closed, quad])
         max_diff = max(max_diff, abs(closed - quad))
     if args.csv:

@@ -96,12 +96,6 @@ def _check_dim(d: int, qubit: bool = False) -> int:
     return check_index(d, "d", cap=MAX_DIM)
 
 
-def computational_basis(d: int) -> np.ndarray:
-    """Standard basis of dimension d as rows of the identity, complex dtype."""
-    d = _check_dim(d)
-    return np.eye(d, dtype=complex)
-
-
 def _roots(d: int) -> np.ndarray:
     """The amplitudes w^e / sqrt(d) of e = 0..d-1, twice over: entry d + e is
     that of e mod d for every e in -d+1..d-1, so an exponent formed as the
@@ -230,12 +224,9 @@ class MubFamily:
     def labels(self) -> tuple:
         return (Z_LABEL,) + tuple(range(self.d))
 
-    def basis_index(self, label) -> int:
-        return basis_index(self.d, label)
-
     def vector(self, label, j: int) -> np.ndarray:
         j = outcome_index(self.d, j)
-        return self.bases[self.basis_index(label), j]
+        return self.bases[basis_index(self.d, label), j]
 
 
 #: The bases of every family that ``mub_family`` built and that is still

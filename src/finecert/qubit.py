@@ -9,6 +9,7 @@ geometry. Every function is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -57,17 +58,6 @@ def state_to_bloch(psi) -> np.ndarray:
     cross = a.conjugate() * b
     # each part doubled alone: 2.0 * cross would multiply by 2 + 0j and turn a -0.0 part into +0.0
     return np.array([2.0 * cross.real, 2.0 * cross.imag, float(abs(a) ** 2 - abs(b) ** 2)])
-
-
-def angles_to_state(theta: float, phi: float) -> np.ndarray:
-    """State cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    theta = float(theta)
-    phi = float(phi)
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta={theta} outside [0, pi]")
-    if not 0.0 <= phi < 2.0 * np.pi:
-        raise ValueError(f"phi={phi} outside [0, 2 pi)")
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
 def spin_projector(k) -> np.ndarray:
@@ -164,8 +154,25 @@ class AverageCertainty(NamedTuple):
 
 #: Simpson panels of the semi-plane quadrature unless a caller passes another count.
 _PANELS = 2048
-#: Most panels a caller may ask for; at the cap one call peaks near 42 MB.
+#: Most panels a caller may ask for; at the cap one call peaks near 42 MB, and
+#: its 24 MB grid is kept until a call at another panel count replaces it.
 MAX_PANELS = 2**20
+
+
+@functools.lru_cache(maxsize=1)
+def _simpson_grid(panels: int) -> tuple:
+    """Read-only theta grid of ``panels`` (even) Simpson panels on [0, pi],
+    the fixed measurement's cos^2(theta/2) on it and the Simpson weights.
+    One entry is kept: a call at another panel count replaces it, so the
+    cache never holds more than one grid."""
+    theta = np.linspace(0.0, np.pi, panels + 1)
+    fixed = np.cos(theta / 2.0) ** 2
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    for array in (theta, fixed, weights):
+        array.setflags(write=False)
+    return theta, fixed, weights
 
 
 def average_certainty(alpha: float, panels: int = _PANELS) -> AverageCertainty:
@@ -176,30 +183,19 @@ def average_certainty(alpha: float, panels: int = _PANELS) -> AverageCertainty:
     the planar average, not a spherical one). Returns the closed form
     1 + sin(alpha)/pi together with a composite-Simpson quadrature of the
     integrand; the two agree to well below 1e-8 for the default panel count.
+    An odd panel count is rounded up to the next even one. The grid of the
+    last panel count used is kept (``_simpson_grid``), so a sweep over
+    angles builds it once.
     """
-    return next(_average_certainties([alpha], panels))
-
-
-def _average_certainties(alphas, panels: int = _PANELS):
-    """``average_certainty`` of each angle in turn, with the theta grid, the
-    fixed measurement's cos^2(theta/2) and the Simpson weights built once."""
     panels = check_index(panels, "panels", 1024, MAX_PANELS)
-    if panels % 2:
-        panels += 1
-    theta = np.linspace(0.0, np.pi, panels + 1)
-    fixed = np.cos(theta / 2.0) ** 2
-    weights = np.ones(panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = np.pi / panels
-    for alpha in alphas:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= np.pi:
-            raise ValueError(f"alpha={alpha} outside [0, pi]")
-        integrand = (fixed + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
-        quadrature = float(h / 3.0 * np.dot(weights, integrand))
-        closed_form = float(1.0 + np.sin(alpha) / np.pi)
-        yield AverageCertainty(closed_form=closed_form, quadrature=quadrature)
+    panels += panels % 2
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= np.pi:
+        raise ValueError(f"alpha={alpha} outside [0, pi]")
+    theta, fixed, weights = _simpson_grid(panels)
+    integrand = (fixed + np.cos((theta - alpha) / 2.0) ** 2) / np.pi
+    quadrature = float(np.pi / panels / 3.0 * np.dot(weights, integrand))
+    return AverageCertainty(closed_form=float(1.0 + np.sin(alpha) / np.pi), quadrature=quadrature)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ from .numerics import MAX_DIM, _check_orthonormal, check_index
 def _bases_from_normals(g: np.ndarray) -> np.ndarray:
     """The Haar-random bases (rows) of a stack of normals g[k] = (real, imaginary)
     parts, shape (n, 2, d, d): the complex stack is formed once, and one stacked
-    QR follows, with the R-diagonal phases folded back in."""
+    QR follows, with the R-diagonal phases folded into Q in place. The rows come
+    back C-ordered, so a caller reads each basis, and reshapes the stack, without
+    a strided pass or a copy."""
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
+    q *= (diag / np.abs(diag))[:, None, :]
+    return np.ascontiguousarray(q.swapaxes(-1, -2))
 
 
 def haar_random_basis(d: int, rng: np.random.Generator) -> np.ndarray:

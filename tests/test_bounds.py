@@ -23,7 +23,7 @@ from finecert.bounds import (
 )
 from finecert.mub import mub_family
 from finecert.numerics import projector
-from finecert.qubit import angles_to_state
+from finecert.qubit import bloch_to_state
 # collected here too, so this module keeps the test ID
 from test_numpy_copies import test_grid_row_sums_pin_numpys_order  # noqa: F401
 
@@ -185,7 +185,7 @@ def test_hyperspherical_state_matches_qubit_angles():
     # dim 2: x0 = theta/2, phi_1 = phi
     for theta, phi in [(0.3, 0.0), (1.1, 2.2), (2.9, 5.5)]:
         a = hyperspherical_state([theta / 2], [phi])
-        b = angles_to_state(theta, phi)
+        b = bloch_to_state([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
         np.testing.assert_allclose(a, b, atol=1e-14)
     with pytest.raises(ValueError, match="moduli"):
         hyperspherical_state([2.0], [0.0])

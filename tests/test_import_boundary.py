@@ -38,7 +38,6 @@ EXPORTS = {
     "mub": (
         "MubFamily",
         "MubVerification",
-        "computational_basis",
         "is_prime",
         "mub_family",
         "mub_vector",

@@ -5,7 +5,7 @@ import pytest
 
 from finecert.mub import (
     MubFamily,
-    computational_basis,
+    basis_index,
     is_prime,
     mub_family,
     mub_vector,
@@ -22,9 +22,9 @@ def test_is_prime_small():
 
 
 def test_computational_basis_examples():
-    b3 = computational_basis(3)
+    b3 = mub_family(3).bases[0]
     np.testing.assert_array_equal(b3[0], [1, 0, 0])
-    b5 = computational_basis(5)
+    b5 = mub_family(5).bases[0]
     np.testing.assert_array_equal(b5[4], [0, 0, 0, 0, 1])
 
 
@@ -33,15 +33,15 @@ def test_z_eigenvalue_of_basis_states():
     d = 3
     w = np.exp(2j * np.pi / d)
     z = np.diag([w**j for j in range(d)])
-    b = computational_basis(d)
+    b = mub_family(d).bases[0]
     for j in range(d):
         np.testing.assert_allclose(z @ b[j], (w**j) * b[j], atol=1e-15)
 
 
-def test_computational_basis_rejects_non_odd_prime():
+def test_mub_family_rejects_non_odd_prime():
     for d in (2, 4, 9, 15):
         with pytest.raises(ValueError, match="odd prime"):
-            computational_basis(d)
+            mub_family(d)
 
 
 def test_mub_vector_uniform_case():
@@ -166,13 +166,13 @@ def test_verify_mub_locates_corruption():
 
 def test_basis_lookup_labels():
     fam = mub_family(5)
-    np.testing.assert_array_equal(fam.bases[fam.basis_index("z")], fam.bases[0])
-    np.testing.assert_array_equal(fam.bases[fam.basis_index(2)], fam.bases[3])
+    np.testing.assert_array_equal(fam.bases[basis_index(5, "z")], fam.bases[0])
+    np.testing.assert_array_equal(fam.bases[basis_index(5, 2)], fam.bases[3])
     np.testing.assert_array_equal(fam.vector(0, 3), mub_vector(5, 0, 3))
     with pytest.raises(ValueError, match="label"):
-        fam.bases[fam.basis_index("w")]
+        fam.bases[basis_index(5, "w")]
     with pytest.raises(ValueError, match="label"):
-        fam.bases[fam.basis_index(5)]
+        fam.bases[basis_index(5, 5)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finecert import mub
+from finecert import mub, qubit
 from finecert.numerics import hermitian_eig
 from finecert.qubit import (
-    _average_certainties,
-    angles_to_state,
     average_certainty,
     bloch_to_state,
     pair_bound,
@@ -160,7 +158,7 @@ def test_average_certainty_validation():
     with pytest.raises(ValueError, match="panels"):
         average_certainty(1.0, panels=512)
     with pytest.raises(ValueError, match="panels 2048.7 is not an integer"):
-        next(_average_certainties([1.0], panels=2048.7))
+        average_certainty(1.0, panels=2048.7)
 
 
 def test_pauli_outcome_projector_rejects_a_non_integer_outcome():
@@ -169,7 +167,7 @@ def test_pauli_outcome_projector_rejects_a_non_integer_outcome():
 
 
 def test_average_certainty_returns_python_floats():
-    for result in (average_certainty(0.7), *_average_certainties([0.0, np.pi / 2])):
+    for result in (average_certainty(alpha) for alpha in (0.7, 0.0, np.pi / 2)):
         assert type(result.closed_form) is float
         assert type(result.quadrature) is float
 
@@ -229,11 +227,9 @@ def test_non_finite_direction_rejected(direction):
     "call, message",
     [
         (lambda: spin_projector([1.0, 0.0]), "expected a 3-component direction, got 2"),
-        (lambda: angles_to_state(4.0, 0.0), r"theta=4.0 outside \[0, pi\]"),
-        (lambda: angles_to_state(1.0, 7.0), r"phi=7.0 outside \[0, 2 pi\)"),
         (lambda: pauli_outcome_projector("x", 2), r"outcome must be 0 or 1 \(got 2\)"),
     ],
-    ids=["direction-length", "theta", "phi", "outcome"],
+    ids=["direction-length", "outcome"],
 )
 def test_out_of_range_qubit_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -254,18 +250,24 @@ def one_angle_quadrature(alpha, panels):
 @pytest.mark.parametrize("panels", [1024, 1025, 2048, 4097])
 def test_shared_grid_quadrature_has_the_per_angle_bits(panels):
     alphas = np.linspace(0.0, np.pi, 13).tolist()
-    shared = list(_average_certainties(alphas, panels))
-    for alpha, result in zip(alphas, shared):
-        assert result == average_certainty(alpha, panels)
+    qubit._simpson_grid.cache_clear()
+    # the first angle builds the grid, the others read it
+    for alpha in alphas:
+        result = average_certainty(alpha, panels)
         assert result.quadrature == one_angle_quadrature(alpha, panels)
         assert result.closed_form == 1.0 + np.sin(alpha) / np.pi
+    assert qubit._simpson_grid.cache_info().misses == 1
 
 
 def test_shared_grid_checks_every_angle():
-    results = _average_certainties([0.5, 4.0])
-    assert next(results).closed_form == 1.0 + np.sin(0.5) / np.pi
+    qubit._simpson_grid.cache_clear()
+    assert average_certainty(0.5).closed_form == 1.0 + np.sin(0.5) / np.pi
+    grid = qubit._simpson_grid(2048)
     with pytest.raises(ValueError, match="alpha=4.0"):
-        next(results)
+        average_certainty(4.0, panels=4096)
+    # refused before a grid of its panel count replaced the kept one
+    assert qubit._simpson_grid(2048) is grid
+    assert all(not array.flags.writeable for array in grid)
 
 
 # The Pauli formulas as three constant matrices and a per-axis branch wrote

@@ -70,8 +70,6 @@ OVER_DIM = f"d={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
         (lambda: CycleConfig(MAX_DIM + 1, None, None, finest_groups(MAX_DIM + 1))._plan, OVER_DIM),
         (lambda: qubit.average_certainty(1.0, panels=qubit.MAX_PANELS + 1),
          f"panels={2**20 + 1} exceeds the supported maximum {2**20}"),
-        (lambda: next(qubit._average_certainties([1.0], panels=qubit.MAX_PANELS + 1)),
-         f"panels={2**20 + 1} exceeds the supported maximum {2**20}"),
         (lambda: qubit.average_certainty(1.0, panels=512), "panels must be >= 1024 (got 512)"),
         (lambda: projector(np.ones(MAX_DIM + 1) / np.sqrt(MAX_DIM + 1)),
          f"state dimension={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"),
@@ -79,7 +77,7 @@ OVER_DIM = f"d={MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
          f"state dimension=2000 exceeds the supported maximum {MAX_DIM}"),
     ],
     ids=["paper_preset", "symmetric_preset", "finest", "merged", "preset-d-0", "check_layout",
-         "direct-config-plan", "average_certainty", "_average_certainties", "panels-below-1024",
+         "direct-config-plan", "average_certainty", "panels-below-1024",
          "projector-65", "projector-2000"],
 )
 def test_each_count_is_refused_at_its_cap_before_any_allocation(call, message):
@@ -96,6 +94,27 @@ def test_counts_at_their_caps_are_accepted():
         assert check_layout(layout, MAX_DIM) is layout
     closed, quadrature = qubit.average_certainty(1.0, panels=qubit.MAX_PANELS)
     assert abs(closed - quadrature) <= 1e-12
+
+
+def test_the_quadrature_keeps_one_grid():
+    default_grid = 3 * (qubit._PANELS + 1) * 8  # theta, cos^2(theta/2) and the weights
+    tracemalloc.start()
+    try:
+        qubit.average_certainty(1.0, panels=qubit.MAX_PANELS)
+        qubit.average_certainty(1.0)
+        kept = tracemalloc.get_traced_memory()[0]
+        # the grid of the cap went when the default one replaced it
+        assert kept < 2 * default_grid
+        tracemalloc.reset_peak()
+        qubit.average_certainty(2.0)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a second default call reads the kept grid: it keeps no new array (a few
+    # small Python objects at most), and its temporaries, a few arrays of one
+    # float per grid point each, stay below one grid
+    assert after - kept < 1024
+    assert peak - kept < default_grid
 
 
 OVER_MATRIX = f"matrix dimension 1000 outside [1, {MAX_DIM}]"

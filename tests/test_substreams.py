@@ -98,6 +98,29 @@ def test_draw_replays_one_scan_sample(d, seed):
         assert abs(delta_w(cycle_config(d, basis=basis)).delta_w - scan.per_sample_delta_w[i]) <= TOL
 
 
+def transposed_view_bases(normals):
+    """Bases of a (n, 2, d, d) stack of normals as the sampler formed them when
+    it returned the phase-fixed Q as a transposed view."""
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    return (q * (diag / np.abs(diag))[:, None, :]).swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 31, 61])
+def test_drawn_bases_are_c_ordered_with_the_transposed_view_bytes(d):
+    seed, n = 9, 3
+    children = np.random.SeedSequence(seed).spawn(n)
+    normals = np.stack([np.random.default_rng(child).standard_normal((2, d, d)) for child in children])
+    drawn = sampling.draw(d, seed, 0, n)
+    assert drawn.flags.c_contiguous
+    assert drawn.tobytes() == transposed_view_bases(normals).tobytes()
+    basis = haar_random_basis(d, np.random.default_rng(seed))
+    assert basis.flags.c_contiguous
+    one = np.random.default_rng(seed).standard_normal((1, 2, d, d))
+    assert basis.tobytes() == transposed_view_bases(one)[0].tobytes()
+
+
 def test_numpy_integer_seed_gives_the_int_seed_report():
     assert scan_bases(3, 5, np.uint64(9), keep_samples=True) == scan_bases(3, 5, 9, keep_samples=True)
 
