@@ -70,8 +70,10 @@ def _distinct(keys: np.ndarray) -> tuple:
     finds its index in a table of at most 2 * keys.size slots through a
     multiplicative hash, once every distinct value is seen to have a slot of its
     own; if two share one, a binary search finds the indices instead. The
-    table is there for speed: with the binary search alone, `mub 61 --verify`
-    (461,404 unsorted keys) renders in 58 ms instead of 32 ms.
+    table is there for speed: a warm render of `mub 61 --verify`'s result
+    (461,404 unsorted keys) takes about 4.5 ms with it and 16 ms with the
+    binary search alone, which a ``_FIBONACCI`` of 0 forces (median of 15
+    ``render_json`` calls in one process, one CPU).
     """
     ordered = np.sort(keys)
     new = np.empty(keys.size, dtype=bool)
@@ -404,7 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--pauli-pair", nargs=2, metavar=("AXIS1", "AXIS2"), help="two Pauli axes, e.g. x z"
     )
     mode.add_argument("--pauli-triple", action="store_true", help="all three Pauli axes")
-    mode.add_argument("--gamma", type=float, help="closed form for directions at angle gamma")
+    mode.add_argument(
+        "--gamma",
+        type=float,
+        help="closed form for directions at angle gamma: zeta is the sum 1 + cos(gamma/2) of the two"
+        " probabilities, weighted_zeta their average (the average is what the other modes print)",
+    )
     p_bound.add_argument(
         "--bases",
         nargs=2,

@@ -434,8 +434,10 @@ def verify_mub(family: MubFamily, tol: float = ROUNDOFF_TOL) -> MubVerification:
     ``dataclasses.replace``d family with new bases or a view whose owner was
     made writeable, is checked for NaN and Inf and scanned in full, and
     gets the report that the trusted family gets. At d = 61 a scan takes
-    about 100-150 ms; a later call on a trusted family takes about 5 us at
-    any d, with no basis built and no product formed.
+    about 44 ms with one BLAS thread (``mub.verify_mub`` in the span line of
+    ``python perfbench/traced_cli.py mub 61 --verify``); a later call on a
+    trusted family takes about 5 us at any d, with no basis built and no
+    product formed.
     Each CLI command is its own process, so ``finecert mub d --verify``
     always scans.
     """

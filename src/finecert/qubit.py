@@ -4,7 +4,11 @@ A pure qubit state is identified with the unit vector k for which it is the
 +1 eigenstate of sigma.k. Spin-up probabilities, the two-direction certainty
 bound 1 + cos(gamma/2), the semi-plane average certainty 1 + sin(alpha)/pi,
 and the equal-weight three-Pauli bound 1/2 + 1/(2 sqrt 3) all reduce to this
-geometry. Every function is pure.
+geometry. The two- and three-direction bounds are one closed form: for +1
+outcomes along directions with mean v, the average of the up-probabilities is
+at most 1/2 + |v|/2 (``_spin_certainty``). ``pair_bound`` and
+``pair_certainty`` report twice that, the sum of two probabilities, and
+``triple_pauli_bound`` reports the average. Every function is pure.
 """
 
 from __future__ import annotations
@@ -126,25 +130,35 @@ class PairCertainty:
     degenerate: bool
 
 
+def _spin_certainty(directions) -> tuple:
+    """Closed form for an equal-weight ensemble of +1 outcomes along the rows
+    of ``directions``, unit vectors already checked (a -1 outcome along n is
+    the +1 outcome along -n).
+
+    The projector sum over N rows is N I/2 + (N v).sigma/2 for v the mean of
+    the rows, so the average of the N up-probabilities is at most
+    zeta = 1/2 + |v|/2, attained along v. Returns (zeta, |v|, v/|v| or None,
+    degenerate), degenerate when ``_degenerate_pair`` finds the gap N |v| of
+    the projector sum below ``DEGENERACY_TOL``; for a pair that gap is |m + n|.
+    """
+    rows = np.asarray(directions, dtype=float)
+    mean = rows.mean(axis=0)
+    length = float(np.linalg.norm(mean))
+    degenerate = _degenerate_pair(len(rows) * length)
+    return 0.5 + 0.5 * length, length, None if degenerate else mean / length, degenerate
+
+
 def pair_certainty(m, n) -> PairCertainty:
     """Bound and maximizing direction for spin measurements along m and n.
 
     The sum of the two up-probabilities is 1 + (m+n).k/2, so the maximum
-    1 + |m+n|/2 is attained when k points along the bisector of m and n.
+    1 + |m+n|/2, twice the average ``_spin_certainty`` returns, is attained
+    when k points along the bisector of m and n.
     """
-    m = check_unit_vector(m)
-    n = check_unit_vector(n)
-    bisector = m + n
-    length = float(np.linalg.norm(bisector))
-    # |m+n| = 2 cos(gamma/2); recover gamma stably from the half-angle.
-    gamma = 2.0 * float(np.arccos(np.clip(length / 2.0, 0.0, 1.0)))
-    degenerate = _degenerate_pair(length)
-    return PairCertainty(
-        zeta=1.0 + length / 2.0,
-        gamma=gamma,
-        maximizer=None if degenerate else bisector / length,
-        degenerate=degenerate,
-    )
+    zeta, length, maximizer, degenerate = _spin_certainty((check_unit_vector(m), check_unit_vector(n)))
+    # |m+n|/2 = cos(gamma/2); recover gamma stably from the half-angle.
+    gamma = 2.0 * float(np.arccos(np.clip(length, 0.0, 1.0)))
+    return PairCertainty(zeta=2.0 * zeta, gamma=gamma, maximizer=maximizer, degenerate=degenerate)
 
 
 class AverageCertainty(NamedTuple):
@@ -215,11 +229,11 @@ def triple_pauli_bound() -> TriplePauliBound:
     theta = arcsin(sqrt(2/3)), phi = pi/4. The weighted projector sum is
     I/2 + sigma.(1,1,1)/6, whose top eigenvalue is the returned bound.
     """
-    zeta = 0.5 + 0.5 / np.sqrt(3.0)
+    zeta, _, maximizer, _ = _spin_certainty(np.eye(3))
     theta = float(np.arcsin(np.sqrt(2.0 / 3.0)))
     return TriplePauliBound(
-        zeta=float(zeta),
+        zeta=zeta,
         theta=theta,
         phi=float(np.pi / 4.0),
-        maximizer_bloch=np.full(3, 1.0 / np.sqrt(3.0)),
+        maximizer_bloch=maximizer,
     )

@@ -1,8 +1,10 @@
 """50-digit mpmath references for the cycle's W2, its binary-entropy work
-form and for top eigenvalues, and the qubit pair bound as a game's value.
+form, top eigenvalues and the qubit spin bound, and the qubit pair bound as
+a game's value.
 
 The double-precision results are compared with values computed in 50-digit
-arithmetic from their closed form (W2, the binary-entropy form) or from the
+arithmetic from their closed form (W2, the binary-entropy form, the spin bound
+1/2 + 1/(2 sqrt N) of N orthogonal axes) or from the
 same certainty operator (the top eigenvalue), so the reference owes nothing
 to the code under test. The two-player games of Oppenheim and Wehner
 (Science 330, 1072 (2010)) are built here from Bob's and Alice's spin
@@ -55,6 +57,21 @@ def test_spectral_zeta_equals_the_50_digit_top_eigenvalue(name):
         values, _ = mpmath.eighe(mpmath.matrix(op.tolist()))
         top = max(values[i] for i in range(ens.dim))
         assert abs(mpmath.mpf(bounds.zeta_spectral(ens).zeta) - top) <= 1e-15
+
+
+@pytest.mark.parametrize("axes", ["xz", "xyz"])
+def test_spin_certainty_is_within_half_an_ulp_of_the_50_digit_pauli_bound(axes):
+    # 1/2 + 1/(2 sqrt N) for N orthogonal axes; the pair is the average form
+    # of pair_bound(pi/2), the triple is triple_pauli_bound's zeta
+    directions = [np.eye(3)["xyz".index(a)] for a in axes]
+    zeta = qubit._spin_certainty(directions)[0]
+    if axes == "xyz":
+        assert zeta == qubit.triple_pauli_bound().zeta
+    else:
+        assert 2.0 * zeta == qubit.pair_certainty(*directions).zeta
+    with mpmath.workdps(50):
+        want = mpmath.mpf(1) / 2 + 1 / (2 * mpmath.sqrt(len(axes)))
+        assert abs(mpmath.mpf(zeta) - want) <= mpmath.mpf(np.spacing(zeta)) / 2
 
 
 #: The paper preset's binary-entropy work at d = 3, 5, 7, 11, to four places.

@@ -7,8 +7,9 @@ that a configuration's checked plan is built once and never carried stale
 into a copy, that layout members must be integers, and that component i of
 the cycle is the certainty operator of the pair ensemble (z:i, 0:i) byte for
 byte, d = 2 included, and is built by that operator from ``projector``. They
-also pin that ``bound --gamma`` decides degeneracy with ``qubit``'s predicate
-and that ``mub --tol`` and ``verify_mub`` default to ``numerics.ROUNDOFF_TOL``.
+also pin that ``bound --gamma`` decides degeneracy with ``qubit``'s predicate,
+where that predicate and ``zeta_spectral`` part ways for a pair of spin
+directions, and that ``mub --tol`` and ``verify_mub`` default to ``numerics.ROUNDOFF_TOL``.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from finecert import cycle, qubit
-from finecert.bounds import certainty_operator, mub_pair_bound, mub_pair_ensemble, pauli_pair_ensemble
+from finecert.bounds import (certainty_operator, measurement_ensemble, mub_pair_bound, mub_pair_ensemble,
+                             pauli_pair_ensemble, zeta_spectral)
 from finecert.cli import build_parser, main
 from finecert.cycle import (
     CycleConfig,
@@ -37,7 +39,7 @@ from finecert.cycle import (
     work_extraction_w1,
 )
 from finecert.mub import mub_family, verify_mub
-from finecert.numerics import ROUNDOFF_TOL
+from finecert.numerics import DEGENERACY_TOL, ROUNDOFF_TOL
 
 OVERSIZED = "d=1009 exceeds the supported maximum 64"
 
@@ -262,6 +264,27 @@ def test_pair_certainty_and_bound_gamma_share_one_predicate(capsys):
         assert main(["bound", "--gamma", "1"]) == 0
     capsys.readouterr()
     assert spy.call_count == 2
+
+
+@pytest.mark.parametrize(
+    "gamma, pair_rule, spectral_rule",
+    [(np.pi - 0.5e-9, True, True), (np.pi - 1.5e-9, False, True), (np.pi - 3e-9, False, False)],
+    ids=["pi-0.5e-9", "pi-1.5e-9", "pi-3e-9"],
+)
+def test_the_two_degeneracy_rules_disagree_for_gaps_from_1e9_to_2e9(capsys, gamma, pair_rule, spectral_rule):
+    # pair_certainty and bound --gamma read the gap |m + n| of P_m + P_n;
+    # zeta_spectral reads the gap |m + n|/2 of the equal-weight operator, so
+    # for 1e-9 <= |m + n| < 2e-9 the first says unique and the second degenerate
+    m = np.array([0.0, 0.0, 1.0])
+    n = np.array([np.sin(gamma), 0.0, np.cos(gamma)])
+    length = float(np.linalg.norm(m + n))
+    assert main(["bound", "--gamma", repr(gamma)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["degenerate"] is pair_rule
+    assert qubit.pair_certainty(m, n).degenerate is pair_rule is (length < DEGENERACY_TOL)
+    spectral = zeta_spectral(measurement_ensemble([("m", 0.5, qubit.spin_projector(m)),
+                                                   ("n", 0.5, qubit.spin_projector(n))]))
+    assert abs(spectral.gap - length / 2.0) <= 1e-15
+    assert spectral.degenerate is spectral_rule is (length / 2.0 < DEGENERACY_TOL)
 
 
 def test_verification_tolerance_has_one_default():
